@@ -73,7 +73,8 @@ const char kUsage[] =
     "                    process index)\n"
     "  --shards K        distribute over K worker subprocesses\n"
     "                    (default: 0 = in-process)\n"
-    "  --threads N       in-process pool size (0 = hardware)\n"
+    "  --threads N       in-process pool size (0 = hardware; does not\n"
+    "                    combine with --shards)\n"
     "  --json PATH       write the report JSON (\"-\" = stdout)\n"
     "  --no-timing       exclude wall-clock fields from the JSON so\n"
     "                    reports compare byte-identical\n"
@@ -111,8 +112,8 @@ const char kUsage[] =
     "  --threads N       parallel in-process search: N worker threads\n"
     "                    splitting the budget by schedule index, report\n"
     "                    byte-identical to serial (default: 0 = serial;\n"
-    "                    dfs stays serial; with --shards this is the\n"
-    "                    per-shard-runner pool size as for run)\n"
+    "                    dfs stays serial; does not combine with\n"
+    "                    --shards)\n"
     "  --seed S          base seed; schedule i uses S+i (default: 1)\n"
     "  --max-violations M  stop after M violations (default 1; 0 = all)\n"
     "  --pct-depth D     PCT priority-change depth (default: 3)\n"
@@ -240,41 +241,6 @@ void write_metrics_file(const std::string& path,
   write_json_file(path, doc);
 }
 
-// Streaming-telemetry knobs shared by run and explore (BatchOptions and
-// ExploreOptions carry identically-named fields). Also reads
-// MPCN_WORKER_STOP_AFTER ("2" or "2,0,0": slot i raises SIGSTOP after
-// replying to list[i] cells) — the hook CI uses to inject a
-// between-cells freeze into a real sharded CLI run and watch the
-// heartbeat-staleness write-off fire.
-template <typename Options>
-void apply_streaming_flags(const Args& args, Options& opts) {
-  if (const auto v = args.value("telemetry-ms")) {
-    opts.telemetry_interval = std::chrono::milliseconds(parse_u64(*v));
-  }
-  if (const auto v = args.value("stale-ms")) {
-    if (opts.telemetry_interval.count() <= 0) {
-      throw ProtocolError("--stale-ms needs --telemetry-ms (an unarmed "
-                          "worker is rightfully silent between cells)");
-    }
-    opts.heartbeat_stale_after = std::chrono::milliseconds(parse_u64(*v));
-  }
-  if (const char* env = std::getenv("MPCN_WORKER_STOP_AFTER")) {
-    for (const std::string& tok : split(env, ',')) {
-      opts.worker_stop_after.push_back(static_cast<int>(parse_u64(tok)));
-    }
-  }
-}
-
-// --events: the flight recorder opens BEFORE the run so spawn events
-// land, and closes after the sidecar files are written.
-void open_events_flag(const Args& args) {
-  if (const auto path = args.value("events")) {
-    if (!open_event_log(*path)) {
-      throw ProtocolError("cannot open '" + *path + "' for --events");
-    }
-  }
-}
-
 // The --health document: one entry per worker slot, straight off the
 // coordinator's WorkerHealth table. Sharded runs only (in-process runs
 // write an empty array — there are no worker slots to report on).
@@ -318,13 +284,99 @@ void write_trace_file(const std::string& path,
   write_json_file(path, merge_trace_docs(procs));
 }
 
+// The pool and sidecar flags run and explore share: --shards,
+// --fork-workers, --progress, --telemetry-ms, --stale-ms, --events,
+// --metrics, --trace and --health, plus MPCN_WORKER_STOP_AFTER ("2" or
+// "2,0,0": slot i raises SIGSTOP after replying to list[i] cells) — the
+// hook CI uses to inject a between-cells freeze into a real sharded CLI
+// run and watch the heartbeat-staleness write-off fire.
+//
+// The constructor fills the PoolOptions slice, pointing its sidecar
+// outputs at this object (which must outlive the run), and opens the
+// --events flight recorder BEFORE the run so spawn events land.
+// write_files() writes the sidecar files after the run, then closes the
+// recorder.
+class PoolFlags {
+ public:
+  // A subcommand's own flags plus the pool flags of the same kind.
+  static std::vector<std::string> value_flags(std::vector<std::string> own) {
+    own.insert(own.end(), {"shards", "metrics", "trace", "events",
+                           "telemetry-ms", "stale-ms", "health"});
+    return own;
+  }
+  static std::vector<std::string> bool_flags(std::vector<std::string> own) {
+    own.insert(own.end(), {"fork-workers", "progress"});
+    return own;
+  }
+
+  PoolFlags(const Args& args, const char* argv0, PoolOptions& pool)
+      : args_(args) {
+    if (const auto v = args.value("shards")) {
+      pool.shards = static_cast<int>(parse_u64(*v));
+    }
+    sharded_ = pool.shards > 0;
+    if (sharded_ && !args.has("fork-workers")) {
+      pool.worker_argv = {self_exe_path(argv0), "worker"};
+    }
+    pool.progress = args.has("progress");
+    if (const auto v = args.value("telemetry-ms")) {
+      pool.telemetry_interval = std::chrono::milliseconds(parse_u64(*v));
+    }
+    if (const auto v = args.value("stale-ms")) {
+      if (pool.telemetry_interval.count() <= 0) {
+        throw ProtocolError("--stale-ms needs --telemetry-ms (an unarmed "
+                            "worker is rightfully silent between cells)");
+      }
+      pool.heartbeat_stale_after = std::chrono::milliseconds(parse_u64(*v));
+    }
+    if (const char* env = std::getenv("MPCN_WORKER_STOP_AFTER")) {
+      for (const std::string& tok : split(env, ',')) {
+        pool.worker_stop_after.push_back(static_cast<int>(parse_u64(tok)));
+      }
+    }
+    if (const auto path = args.value("events")) {
+      if (!open_event_log(*path)) {
+        throw ProtocolError("cannot open '" + *path + "' for --events");
+      }
+    }
+    if (args.has("metrics") && sharded_) pool.worker_metrics = &worker_metrics_;
+    if (args.has("trace")) {
+      set_tracing_enabled(true);
+      if (sharded_) pool.worker_traces = &worker_traces_;
+    }
+    if (args.has("health") && sharded_) pool.health = &health_;
+  }
+  PoolFlags(const PoolFlags&) = delete;
+  PoolFlags& operator=(const PoolFlags&) = delete;
+
+  void write_files() {
+    if (const auto path = args_.value("metrics")) {
+      write_metrics_file(*path, worker_metrics_);
+    }
+    if (const auto path = args_.value("trace")) {
+      write_trace_file(*path, worker_traces_, sharded_);
+    }
+    if (const auto path = args_.value("health")) {
+      write_health_file(*path, health_);
+    }
+    close_event_log();
+  }
+
+ private:
+  const Args& args_;
+  bool sharded_ = false;
+  std::vector<MetricsSnapshot> worker_metrics_;
+  std::vector<ProcessTrace> worker_traces_;
+  std::vector<WorkerHealth> health_;
+};
+
 int cmd_run(int argc, char** argv) {
   Args args(argc, argv, 2,
-            {"in", "source", "mode", "seeds", "mem", "wait", "scheduler",
-             "steps", "wall", "crash-p", "crash-max", "inputs", "shards",
-             "threads", "json", "title", "metrics", "trace", "events",
-             "telemetry-ms", "stale-ms", "health"},
-            {"no-timing", "fork-workers", "progress"});
+            PoolFlags::value_flags({"in", "source", "mode", "seeds", "mem",
+                                    "wait", "scheduler", "steps", "wall",
+                                    "crash-p", "crash-max", "inputs",
+                                    "threads", "json", "title"}),
+            PoolFlags::bool_flags({"no-timing"}));
   if (args.positional().size() != 1) {
     throw ProtocolError("run needs exactly one scenario name (see `mpcn "
                         "list`)");
@@ -419,39 +471,10 @@ int cmd_run(int argc, char** argv) {
   if (args.has("threads")) {
     batch.threads = static_cast<int>(parse_u64(args.require("threads")));
   }
-  if (args.has("shards")) {
-    batch.shards = static_cast<int>(parse_u64(args.require("shards")));
-  }
-  if (batch.shards > 0 && !args.has("fork-workers")) {
-    batch.worker_argv = {self_exe_path(argv[0]), "worker"};
-  }
-  batch.progress = args.has("progress");
-  apply_streaming_flags(args, batch);
-  open_events_flag(args);
-  std::vector<MetricsSnapshot> worker_snaps;
-  if (args.has("metrics") && batch.shards > 0) {
-    batch.worker_metrics = &worker_snaps;
-  }
-  std::vector<ProcessTrace> worker_traces;
-  std::vector<WorkerHealth> health;
-  if (args.has("trace")) {
-    set_tracing_enabled(true);
-    if (batch.shards > 0) batch.worker_traces = &worker_traces;
-  }
-  if (args.has("health") && batch.shards > 0) batch.health = &health;
+  PoolFlags pool_flags(args, argv[0], batch);
 
   const Report report = e.run_all(batch);
-
-  if (const auto path = args.value("metrics")) {
-    write_metrics_file(*path, worker_snaps);
-  }
-  if (const auto path = args.value("trace")) {
-    write_trace_file(*path, worker_traces, batch.shards > 0);
-  }
-  if (const auto path = args.value("health")) {
-    write_health_file(*path, health);
-  }
-  close_event_log();
+  pool_flags.write_files();
 
   const bool include_timing = !args.has("no-timing");
   const std::string json_path = args.value_or("json", "");
@@ -490,14 +513,13 @@ ScheduleTrace load_trace(const std::string& path) {
 
 int cmd_explore(int argc, char** argv) {
   Args args(argc, argv, 2,
-            {"in", "source", "mode", "mem", "steps", "wall", "inputs",
-             "policy", "budget", "seed", "max-violations", "pct-depth",
-             "horizon", "bound", "crash-budget", "crash-rate",
-             "shrink-budget", "record", "replay",
-             "json", "shards", "threads", "metrics", "trace", "events",
-             "telemetry-ms", "stale-ms", "health"},
-            {"check-lin", "check-races", "no-shrink", "fork-workers",
-             "progress"});
+            PoolFlags::value_flags({"in", "source", "mode", "mem", "steps",
+                                    "wall", "inputs", "policy", "budget",
+                                    "seed", "max-violations", "pct-depth",
+                                    "horizon", "bound", "crash-budget",
+                                    "crash-rate", "shrink-budget", "record",
+                                    "replay", "json", "threads"}),
+            PoolFlags::bool_flags({"check-lin", "check-races", "no-shrink"}));
   if (args.positional().size() != 1) {
     throw ProtocolError(
         "explore needs exactly one scenario name (see `mpcn list`)");
@@ -648,42 +670,13 @@ int cmd_explore(int argc, char** argv) {
       static_cast<int>(parse_u64(args.value_or("shrink-budget", "400")));
   opts.spec = spec;
   opts.check_races = check_races;
-  if (args.has("shards")) {
-    opts.shards = static_cast<int>(parse_u64(args.require("shards")));
-  }
   if (args.has("threads")) {
     opts.threads = static_cast<int>(parse_u64(args.require("threads")));
   }
-  if (opts.shards > 0 && !args.has("fork-workers")) {
-    opts.worker_argv = {self_exe_path(argv[0]), "worker"};
-  }
-  opts.progress = args.has("progress");
-  apply_streaming_flags(args, opts);
-  open_events_flag(args);
-  std::vector<MetricsSnapshot> worker_snaps;
-  if (args.has("metrics") && opts.shards > 0) {
-    opts.worker_metrics = &worker_snaps;
-  }
-  std::vector<ProcessTrace> worker_traces;
-  std::vector<WorkerHealth> health;
-  if (args.has("trace")) {
-    set_tracing_enabled(true);
-    if (opts.shards > 0) opts.worker_traces = &worker_traces;
-  }
-  if (args.has("health") && opts.shards > 0) opts.health = &health;
+  PoolFlags pool_flags(args, argv[0], opts);
 
   const ExploreResult result = explore(cell, opts);
-
-  if (const auto path = args.value("metrics")) {
-    write_metrics_file(*path, worker_snaps);
-  }
-  if (const auto path = args.value("trace")) {
-    write_trace_file(*path, worker_traces, opts.shards > 0);
-  }
-  if (const auto path = args.value("health")) {
-    write_health_file(*path, health);
-  }
-  close_event_log();
+  pool_flags.write_files();
   if (const auto path = args.value("record")) {
     write_json_file(*path, result.first_trace.to_json());
   }

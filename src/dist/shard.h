@@ -88,20 +88,65 @@ struct WorkerHealth {
   MetricsSnapshot telemetry;
 };
 
-struct ShardOptions {
-  int shards = 2;
+// The pool and sidecar knobs every sharded entry point shares, declared
+// once: ShardOptions, BatchOptions and ExploreOptions all inherit them,
+// and each layer hands the slice down by assignment. Apart from
+// `shards` and `worker_argv` (which pick the backend), every knob is
+// sidecar-only: none of them can change a report byte. In-process
+// backends read only `shards` and `progress`.
+struct PoolOptions {
+  // > 0: distribute over this many worker subprocesses. Requires
+  // wire-serializable cells, i.e. ones built from Experiment::named.
+  int shards = 0;
   // argv for worker subprocesses (e.g. {"/path/to/mpcn", "worker"}).
   // Empty: fork the current process image and run run_worker_loop
   // directly — no binary needed, used by tests and library callers.
   std::vector<std::string> worker_argv;
-  // Fault injection, fork mode: worker_max_cells[i] is worker i's
-  // WorkerOptions::max_cells (missing entries = 0). In exec mode the
-  // equivalent is appending "--max-cells N" to worker_argv.
-  std::vector<int> worker_max_cells;
   // Fault injection for the health layer, fork mode: slot i freezes
   // (SIGSTOP) after replying to its worker_stop_after[i]-th cell. In
   // exec mode the equivalent is `mpcn worker --stop-after N`.
   std::vector<int> worker_stop_after;
+  // stderr progress heartbeat: in-process backends sample a completion
+  // counter from a thread; the shard pool prints as results arrive.
+  bool progress = false;
+  // Non-null: ask each worker for a MetricsSnapshot at shutdown (the
+  // wire's opt-in metrics exchange) and append every snapshot received.
+  // Workers that died mid-run contribute nothing — their counts are
+  // lost with the process, exactly like their requeued cells' first
+  // attempts.
+  std::vector<MetricsSnapshot>* worker_metrics = nullptr;
+  // Streaming telemetry: > 0 arms every worker's heartbeat (a telemetry
+  // config line sent at spawn and respawn) at this interval. Workers
+  // also beat immediately on arming and after every cell, so ≥ 1
+  // heartbeat arrives per worker even on an idle pool.
+  std::chrono::milliseconds telemetry_interval{0};
+  // Health write-off: with the heartbeat armed, a worker not heard from
+  // (no bytes of any kind) for this long is presumed frozen and written
+  // off — busy or idle. <= 0 disables; meaningless without
+  // telemetry_interval (an unarmed worker is rightfully silent between
+  // cells). Choose a multiple of telemetry_interval with headroom for
+  // scheduling noise.
+  std::chrono::milliseconds heartbeat_stale_after{0};
+  // Non-null: harvest each live worker's span rings at shutdown
+  // (`"trace":true` on the shutdown line) and append one ProcessTrace
+  // per delivering worker, pid = slot + 2 (pid 1 is the coordinator),
+  // clocks aligned to the coordinator's trace_now_us origin. Feed the
+  // result plus the coordinator's own dump_trace_json() to
+  // merge_trace_docs for one Perfetto-loadable document. Also sets
+  // `"trace":true` on the telemetry config line so exec-mode workers
+  // (which start with tracing off) record spans at all.
+  std::vector<ProcessTrace>* worker_traces = nullptr;
+  // Non-null: filled with one WorkerHealth per slot at return.
+  std::vector<WorkerHealth>* health = nullptr;
+};
+
+struct ShardOptions : PoolOptions {
+  ShardOptions() { shards = 2; }
+
+  // Fault injection, fork mode: worker_max_cells[i] is worker i's
+  // WorkerOptions::max_cells (missing entries = 0). In exec mode the
+  // equivalent is appending "--max-cells N" to worker_argv.
+  std::vector<int> worker_max_cells;
   // Watchdog: a worker whose outstanding cell has run for the cell's own
   // wall_limit PLUS this grace is presumed hung, SIGKILLed, and its cell
   // is requeued. Scaling with wall_limit means a cell the user allowed
@@ -124,45 +169,12 @@ struct ShardOptions {
   // BatchRunner does — keeping sharded and in-process reports
   // byte-identical).
   std::string title;
-  // Telemetry (sidecar-only; never affects the Report):
-  //
-  // Non-null: ask each worker for a MetricsSnapshot at shutdown (the
-  // wire's opt-in metrics exchange) and append every snapshot received.
-  // Workers that died mid-run contribute nothing — their counts are
-  // lost with the process, exactly like their requeued cells' first
-  // attempts.
-  std::vector<MetricsSnapshot>* worker_metrics = nullptr;
-  // Print a coarse progress heartbeat to stderr as results arrive.
-  bool progress = false;
-  // Streaming telemetry: > 0 arms every worker's heartbeat (a telemetry
-  // config line sent at spawn and respawn) at this interval. Workers
-  // also beat immediately on arming and after every cell, so ≥ 1
-  // heartbeat arrives per worker even on an idle pool.
-  std::chrono::milliseconds telemetry_interval{0};
-  // Health write-off: with the heartbeat armed, a worker not heard from
-  // (no bytes of any kind) for this long is presumed frozen and written
-  // off — busy or idle. <= 0 disables; meaningless without
-  // telemetry_interval (an unarmed worker is rightfully silent between
-  // cells). Choose a multiple of telemetry_interval with headroom for
-  // scheduling noise.
-  std::chrono::milliseconds heartbeat_stale_after{0};
   // Shutdown harvest: per-worker deadline for the final metrics/trace
   // exchange. Deadlines run CONCURRENTLY (shutdown is sent to every
   // live worker before any reply is awaited), so total harvest wall
   // time is ~max, not sum; a worker that misses its own deadline counts
   // one shard.snapshot_timeouts and starves nobody else.
   std::chrono::milliseconds snapshot_deadline{2000};
-  // Non-null: harvest each live worker's span rings at shutdown
-  // (`"trace":true` on the shutdown line) and append one ProcessTrace
-  // per delivering worker, pid = slot + 2 (pid 1 is the coordinator),
-  // clocks aligned to the coordinator's trace_now_us origin. Feed the
-  // result plus the coordinator's own dump_trace_json() to
-  // merge_trace_docs for one Perfetto-loadable document. Also sets
-  // `"trace":true` on the telemetry config line so exec-mode workers
-  // (which start with tracing off) record spans at all.
-  std::vector<ProcessTrace>* worker_traces = nullptr;
-  // Non-null: filled with one WorkerHealth per slot at return.
-  std::vector<WorkerHealth>* health = nullptr;
 };
 
 // Run `cells` across worker subprocesses and merge the results into a

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <thread>
 
+#include "src/common/errors.h"
 #include "src/dist/shard.h"
 #include "src/obs/progress.h"
 
@@ -23,18 +24,14 @@ std::string derive_report_title(const std::vector<ExperimentCell>& cells,
 
 Report BatchRunner::run(const std::vector<ExperimentCell>& cells) const {
   if (options_.shards > 0) {
+    if (options_.threads > 1) {
+      throw ProtocolError(
+          "threads > 1 does not combine with shards: the shard pool runs "
+          "one cell per worker subprocess");
+    }
     ShardOptions shard;
-    shard.shards = options_.shards;
-    shard.worker_argv = options_.worker_argv;
-    shard.watchdog_grace = options_.watchdog_grace;
+    static_cast<PoolOptions&>(shard) = options_;
     shard.title = options_.title;
-    shard.worker_metrics = options_.worker_metrics;
-    shard.progress = options_.progress;
-    shard.telemetry_interval = options_.telemetry_interval;
-    shard.heartbeat_stale_after = options_.heartbeat_stale_after;
-    shard.worker_traces = options_.worker_traces;
-    shard.health = options_.health;
-    shard.worker_stop_after = options_.worker_stop_after;
     return run_sharded(cells, shard);
   }
   Report report;

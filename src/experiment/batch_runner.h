@@ -20,52 +20,24 @@
 // same grid-ordered Report, byte-identical with timing excluded.
 #pragma once
 
-#include <chrono>
 #include <string>
 #include <vector>
 
 #include "src/dist/shard.h"
 #include "src/experiment/experiment.h"
 #include "src/experiment/record.h"
-#include "src/obs/metrics.h"
 
 namespace mpcn {
 
-struct BatchOptions {
-  // Worker pool size; 0 = std::thread::hardware_concurrency (min 1).
+// Pool and sidecar knobs (shards, worker_argv, progress, telemetry):
+// PoolOptions, handed to the shard pool as a slice.
+struct BatchOptions : PoolOptions {
+  // In-process pool size; 0 = std::thread::hardware_concurrency (min 1).
+  // Does not combine with shards: the shard pool runs one cell per
+  // worker subprocess, so shards > 0 with threads > 1 is rejected.
   int threads = 0;
   // Report title ("" = derived from the first cell's scenario).
   std::string title;
-  // > 0: distribute the grid over this many worker subprocesses
-  // (src/dist/shard.h). Requires wire-serializable cells, i.e. a grid
-  // built from Experiment::named.
-  int shards = 0;
-  // Worker argv for the sharded backend (e.g. {"mpcn", "worker"});
-  // empty = fork the current process image, no binary needed.
-  std::vector<std::string> worker_argv;
-  // Sharded backend watchdog: a worker whose cell has overrun its own
-  // wall_limit plus this grace is killed and the cell requeued.
-  // <= 0 disables.
-  std::chrono::milliseconds watchdog_grace{30'000};
-  // Telemetry passthrough to the sharded backend (ShardOptions): collect
-  // one MetricsSnapshot per surviving worker at shutdown. Ignored by the
-  // in-process backend (its counters land in the process registry
-  // directly). Sidecar-only — never affects the Report.
-  std::vector<MetricsSnapshot>* worker_metrics = nullptr;
-  // stderr progress heartbeat: the in-process backend samples a
-  // completed-cells counter; the sharded backend prints on result
-  // arrivals.
-  bool progress = false;
-  // Health-layer passthrough to the sharded backend (see ShardOptions
-  // for semantics). All ignored by the in-process backend; all
-  // sidecar-only.
-  std::chrono::milliseconds telemetry_interval{0};
-  std::chrono::milliseconds heartbeat_stale_after{0};
-  std::vector<ProcessTrace>* worker_traces = nullptr;
-  std::vector<WorkerHealth>* health = nullptr;
-  // Fault injection for the health layer (ShardOptions::worker_stop_after):
-  // slot i freezes (SIGSTOP) after replying to worker_stop_after[i] cells.
-  std::vector<int> worker_stop_after;
 };
 
 class BatchRunner {

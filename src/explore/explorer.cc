@@ -7,7 +7,7 @@
 
 #include "src/common/arena.h"
 #include "src/common/errors.h"
-#include "src/experiment/batch_runner.h"
+#include "src/dist/shard.h"
 #include "src/history/history.h"
 #include "src/obs/events.h"
 #include "src/obs/progress.h"
@@ -189,6 +189,27 @@ struct WorkerScratch {
         history(std::make_shared<HistoryRecorder>(&arena)) {}
 };
 
+// One finished schedule, as the accounting step reads it. The record is
+// kept only where accounting needs it: violations, and schedule 0 (whose
+// grant trace becomes ExploreResult::first_trace).
+struct Judged {
+  bool ran = false;
+  std::uint64_t steps = 0;
+  OracleVerdict verdict;
+  std::unique_ptr<RunRecord> rec;
+};
+
+Judged judged(int index, RunRecord rec, OracleVerdict verdict) {
+  Judged o;
+  o.ran = true;
+  o.steps = rec.steps;
+  if (verdict.violated || index == 0) {
+    o.rec = std::make_unique<RunRecord>(std::move(rec));
+  }
+  o.verdict = std::move(verdict);
+  return o;
+}
+
 }  // namespace
 
 RunRecord replay_trace(const ExperimentCell& cell,
@@ -356,6 +377,11 @@ ExploreResult explore(const ExperimentCell& cell,
           "the sequential-spec oracle observes in-process history and "
           "cannot shard");
     }
+    if (options.threads > 1) {
+      throw ProtocolError(
+          "threads > 1 does not combine with shards: the shard pool runs "
+          "one schedule per worker subprocess");
+    }
   }
   if (options.check_races && cell.mode != ExecutionMode::kDirect) {
     throw ProtocolError(
@@ -386,15 +412,61 @@ ExploreResult explore(const ExperimentCell& cell,
   // recorder inside run_cell every schedule.
   const bool pass_history = want_history || options.check_races;
 
-  // One scratch per search worker. Worker 0's scratch also serves the
-  // PCT probe and the shrinker (both run on this thread), so even the
-  // sharded path builds one. The `shrink_cell` parameter lets in-process
-  // callers shrink through a pooled cell while `base` itself stays
-  // pool-free — the sharded branch ships copies of `base` over the wire,
-  // which rejects cells carrying live pools.
-  auto handle_violation = [&](int index, RunRecord rec,
-                              const OracleVerdict& verdict,
-                              const ExperimentCell& shrink_cell) {
+  const int processes = std::max(1, static_cast<int>(base.inputs.size()));
+  // Bounded DFS carries one search tree across runs, so it always runs
+  // as a single claimant; random/PCT schedules are pure functions of the
+  // index and parallelize freely.
+  const int claimants = options.policy != ExplorePolicy::kBoundedDfs &&
+                                options.threads > 1
+                            ? std::min(options.threads, options.budget)
+                            : 1;
+  // One scratch per claimant, built on first use. Claimant 0 runs on
+  // this thread, and its scratch also serves the PCT probe and the
+  // shrinker. pooled(w) is `base` on claimant w's process pool; `base`
+  // itself stays pool-free, because the shard pool ships copies of it
+  // over the wire, which rejects cells carrying live pools.
+  std::vector<std::unique_ptr<WorkerScratch>> scratch(
+      static_cast<std::size_t>(claimants));
+  auto pooled = [&](int w) {
+    std::unique_ptr<WorkerScratch>& s = scratch[static_cast<std::size_t>(w)];
+    if (!s) s = std::make_unique<WorkerScratch>(processes);
+    ExperimentCell c = base;
+    c.options.process_pool = &s->pool;
+    return c;
+  };
+
+  // Rewind a claimant's scratch for the next schedule and hand out its
+  // recorder (recorder first, THEN the arena backing its buffer).
+  auto scratch_history =
+      [pass_history](WorkerScratch& s) -> std::shared_ptr<HistoryRecorder> {
+    if (!pass_history) return nullptr;
+    s.history->reset();
+    s.arena.reset();
+    return s.history;
+  };
+
+  // The accounting step, written once. Every source hands it finished
+  // schedules in index order on this thread; it returns true when the
+  // search must stop (max_violations reached). Shrinking happens here,
+  // after the order of acceptance is fixed — shrink is a pure function
+  // of (cell, trace, options), so where it runs cannot change a byte.
+  auto account = [&](int index, Judged o) -> bool {
+    if (index >= 0) {  // the probe is not a search schedule
+      ++result.schedules;
+      m_schedules().add();
+    }
+    result.total_steps += o.steps;
+    m_steps().add(o.steps);
+    if (index == 0 && o.rec && o.rec->schedule_trace) {
+      result.first_trace = *o.rec->schedule_trace;
+    }
+    const OracleVerdict& verdict = o.verdict;
+    if (verdict.spec_skipped) {
+      ++result.skipped_spec_checks;
+      m_spec_skips().add();
+    }
+    if (!verdict.violated) return false;
+
     ExploreViolation v;
     v.schedule_index = index;
     v.why = verdict.why;
@@ -418,8 +490,8 @@ ExploreResult explore(const ExperimentCell& cell,
                 Json::object().set("schedule",
                                    static_cast<std::int64_t>(index)));
     }
-    if (rec.schedule_trace) v.trace = *rec.schedule_trace;
-    v.record = std::move(rec);
+    if (o.rec->schedule_trace) v.trace = *o.rec->schedule_trace;
+    v.record = std::move(*o.rec);
     if (options.shrink_violations && !v.trace.empty()) {
       log_event("shrink_begin",
                 Json::object()
@@ -432,7 +504,7 @@ ExploreResult explore(const ExperimentCell& cell,
       so.check_races = options.check_races;
       so.require_race = v.race;
       so.require_crash = v.crashed;
-      ShrinkResult sr = shrink(shrink_cell, v.trace, so);
+      ShrinkResult sr = shrink(pooled(0), v.trace, so);
       v.shrunk = std::move(sr.trace);
       v.shrunk_verified = sr.verified;
       v.shrink_replays = sr.replays;
@@ -456,72 +528,35 @@ ExploreResult explore(const ExperimentCell& cell,
     return stop;
   };
 
-  const int processes = std::max(1, static_cast<int>(base.inputs.size()));
-  // Bounded DFS carries one search tree across runs, so it cannot fan
-  // out — threads > 1 falls back to the serial engine (documented in
-  // ExploreOptions); random/PCT schedules are pure functions of the
-  // index and parallelize freely.
-  const bool parallel = options.shards == 0 && options.threads > 1 &&
-                        options.policy != ExplorePolicy::kBoundedDfs &&
-                        options.budget > 1;
-  const int workers =
-      parallel ? std::min(options.threads, options.budget) : 1;
-  std::vector<std::unique_ptr<WorkerScratch>> scratch;
-  scratch.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    scratch.push_back(std::make_unique<WorkerScratch>(processes));
-  }
-  // In-process runs driven from this thread (probe, serial search,
-  // shrink replays) all ride worker 0's pool.
-  ExperimentCell pooled_base = base;
-  pooled_base.options.process_pool = &scratch[0]->pool;
-
-  // Rewind a worker's scratch for the next schedule and hand out its
-  // recorder (recorder first, THEN the arena backing its buffer).
-  auto scratch_history =
-      [pass_history](WorkerScratch& s) -> std::shared_ptr<HistoryRecorder> {
-    if (!pass_history) return nullptr;
-    s.history->reset();
-    s.arena.reset();
-    return s.history;
-  };
-
-  // PCT horizon: probe the cell once under its own seed to learn a
-  // realistic schedule length (the declared step limit is usually orders
-  // of magnitude larger, which would starve the change points). The
-  // probe is a real run: if the bug shows under the plain seeded
-  // schedule at the base seed, that IS a violation (schedule_index -1),
-  // not a measurement to discard.
+  // ---- source 1: the PCT horizon probe ------------------------------
+  // Probe the cell once under its own seed to learn a realistic schedule
+  // length (the declared step limit is usually orders of magnitude
+  // larger, which would starve the change points). The probe is a real
+  // run: if the bug shows under the plain seeded schedule at the base
+  // seed, that IS a violation (schedule_index -1), not a measurement to
+  // discard.
   std::uint64_t horizon = options.pct_horizon;
   if (options.policy == ExplorePolicy::kPct && horizon == 0) {
     ScheduleSpec probe;
     probe.kind = SchedulePolicyKind::kSeededRandom;
     probe.seed = options.seed;
+    const ExperimentCell probe_cell = pooled(0);
     auto history = scratch_history(*scratch[0]);
-    RunRecord rec = run_schedule(pooled_base, -1, probe, nullptr, history);
+    RunRecord rec = run_schedule(probe_cell, -1, probe, nullptr, history);
     horizon = std::max<std::uint64_t>(rec.steps, 8);
-    result.total_steps += rec.steps;
-    m_steps().add(rec.steps);
-    const OracleVerdict v = judge(rec, options.spec, history);
-    if (v.spec_skipped) {
-      ++result.skipped_spec_checks;
-      m_spec_skips().add();
-    }
-    if (v.violated && handle_violation(-1, std::move(rec), v, pooled_base)) {
-      result.pct_horizon = horizon;
+    result.pct_horizon = horizon;
+    OracleVerdict v = judge(rec, options.spec, history);
+    if (account(-1, judged(-1, std::move(rec), std::move(v)))) {
       return result;
     }
   }
   result.pct_horizon = horizon;
 
-  // In-process engines report progress from a sampling thread; the
-  // sharded backend reports from its coordinator instead (below).
-  ProgressMeter heartbeat(options.progress && options.shards == 0,
-                          "explore", "schedules", options.budget);
-
+  // ---- source 2: the shard pool -------------------------------------
+  // Declarative fan-out: one cell per schedule, shipped over the shard
+  // wire like any experiment grid. The pool runs every schedule; the
+  // accounting walk stops where the in-process search would have.
   if (options.shards > 0) {
-    // Declarative fan-out: one cell per schedule, shipped over the shard
-    // wire like any experiment grid.
     std::vector<ExperimentCell> cells;
     cells.reserve(static_cast<std::size_t>(options.budget));
     for (int i = 0; i < options.budget; ++i) {
@@ -533,182 +568,117 @@ ExploreResult explore(const ExperimentCell& cell,
       c.history = nullptr;
       cells.push_back(std::move(c));
     }
-    BatchOptions batch;
-    batch.shards = options.shards;
-    batch.worker_argv = options.worker_argv;
-    batch.threads = options.threads;
-    batch.worker_metrics = options.worker_metrics;
-    batch.progress = options.progress;
-    batch.telemetry_interval = options.telemetry_interval;
-    batch.heartbeat_stale_after = options.heartbeat_stale_after;
-    batch.worker_traces = options.worker_traces;
-    batch.health = options.health;
-    batch.worker_stop_after = options.worker_stop_after;
-    const Report report = BatchRunner(batch).run(cells);
-    for (const RunRecord& rec : report.records) {
-      ++result.schedules;
-      m_schedules().add();
-      result.total_steps += rec.steps;
-      m_steps().add(rec.steps);
-      if (rec.cell_index == 0 && rec.schedule_trace) {
-        result.first_trace = *rec.schedule_trace;
-      }
-      const OracleVerdict v = judge(rec, nullptr, nullptr);
-      if (v.violated && handle_violation(rec.cell_index, rec, v,
-                                         pooled_base)) {
+    ShardOptions shard;
+    static_cast<PoolOptions&>(shard) = options;
+    // Fork the workers from a coordinator with no pool threads alive;
+    // shrinking rebuilds the probe's scratch afterwards.
+    scratch[0].reset();
+    Report report = run_sharded(cells, shard);
+    for (RunRecord& rec : report.records) {
+      const int index = rec.cell_index;
+      OracleVerdict v = judge(rec, nullptr, nullptr);
+      if (account(index, judged(index, std::move(rec), std::move(v)))) {
         break;
       }
     }
     return result;
   }
 
-  if (!parallel) {
-    // In-process serial search (threads <= 1, and the bounded-DFS
-    // fallback). Bounded DFS shares one policy object across runs;
-    // random/PCT rebuild a fresh policy per schedule.
-    std::shared_ptr<BoundedDfsPolicy> dfs;
-    if (options.policy == ExplorePolicy::kBoundedDfs) {
-      dfs = std::make_shared<BoundedDfsPolicy>(options.dfs_preemption_bound,
-                                               options.dfs_max_depth);
-    }
-    for (int i = 0; i < options.budget; ++i) {
-      ScheduleSpec schedule;  // kDefault under DFS (override wins)
-      if (!dfs) schedule = spec_for(options, horizon, i);
-      if (dfs && i > 0 && !dfs->advance()) {
-        result.exhausted = true;
-        break;
-      }
-      auto history = scratch_history(*scratch[0]);
-      RunRecord rec = run_schedule(pooled_base, i, schedule, dfs, history);
-      ++result.schedules;
-      m_schedules().add();
-      heartbeat.tick();
-      result.total_steps += rec.steps;
-      m_steps().add(rec.steps);
-      if (i == 0 && rec.schedule_trace) {
-        result.first_trace = *rec.schedule_trace;
-      }
-      const OracleVerdict v = judge(rec, options.spec, history);
-      if (v.spec_skipped) {
-        ++result.skipped_spec_checks;
-        m_spec_skips().add();
-      }
-      if (v.violated && handle_violation(i, std::move(rec), v, pooled_base)) {
-        break;
-      }
-    }
-    if (dfs) {
-      result.pruned_prefixes = dfs->pruned_prefixes();
-      result.exhausted = result.exhausted || dfs->exhausted();
-    }
-    return result;
-  }
-
-  // ---- parallel in-process search ----------------------------------
-  // Workers claim schedule indices from a shared counter and record
-  // per-index outcomes; the merge below walks those outcomes IN INDEX
-  // ORDER and replays the serial loop's accounting decisions, so the
-  // final report is byte-identical to the serial run (pinned by
-  // explore_parallel_test and a CI cmp leg).
+  // ---- source 3: the in-process claim loop --------------------------
+  // Claimants take schedule indices from a shared counter and park each
+  // outcome in its index's slot; accounting then walks the slots IN
+  // INDEX ORDER, so the report is the same for one claimant or many
+  // (pinned by explore_parallel_test and tests/smoke).
   //
-  // Early stop: the serial loop breaks at the max_violations-th violated
-  // index. Workers maintain a conservative upper bound on that index —
-  // `cutoff`, the m-th smallest violated index seen so far — and stop
-  // claiming past it. The bound only ever decreases and never drops
-  // below the true stop index, so every index the merge will visit is
-  // guaranteed to complete, while indices past the final cutoff are at
-  // worst wasted work, never missing work.
-  struct Slot {
-    std::uint64_t steps = 0;
-    bool ran = false;
-    bool spec_skipped = false;
-    OracleVerdict verdict;
-    std::unique_ptr<RunRecord> rec;  // kept for violations and index 0
-  };
-  std::vector<Slot> slots(static_cast<std::size_t>(options.budget));
+  // Early stop: accounting stops at the max_violations-th violation.
+  // Claimants maintain a conservative upper bound on that index —
+  // `cutoff`, the quota-th smallest violated index seen so far — and
+  // stop claiming past it. The bound only ever decreases and never
+  // drops below the true stop index, so every index accounting visits
+  // is guaranteed to complete, while indices past the final cutoff are
+  // at worst wasted work, never missing work. A single claimant stops
+  // exactly at the stop index.
+  std::shared_ptr<BoundedDfsPolicy> dfs;
+  if (options.policy == ExplorePolicy::kBoundedDfs) {
+    dfs = std::make_shared<BoundedDfsPolicy>(options.dfs_preemption_bound,
+                                             options.dfs_max_depth);
+  }
+  // Violations left to find before the stop (the probe may hold one).
+  const int quota =
+      options.max_violations > 0
+          ? options.max_violations - static_cast<int>(result.violations.size())
+          : 0;
+  std::vector<Judged> slots(static_cast<std::size_t>(options.budget));
   std::atomic<int> next{0};
   std::atomic<int> cutoff{options.budget - 1};
   std::mutex found_m;
   std::vector<int> violated_indices;  // sorted ascending
 
   auto note_violation = [&](int index) {
-    if (options.max_violations <= 0) return;  // collect-all: no early stop
+    if (quota <= 0) return;  // collect-all: no early stop
     std::lock_guard<std::mutex> lk(found_m);
     violated_indices.insert(
         std::upper_bound(violated_indices.begin(), violated_indices.end(),
                          index),
         index);
-    if (static_cast<int>(violated_indices.size()) >= options.max_violations) {
-      const int bound = violated_indices[static_cast<std::size_t>(
-          options.max_violations - 1)];
+    if (static_cast<int>(violated_indices.size()) >= quota) {
+      const int bound = violated_indices[static_cast<std::size_t>(quota - 1)];
       int cur = cutoff.load();
       while (bound < cur && !cutoff.compare_exchange_weak(cur, bound)) {
       }
     }
   };
 
+  ProgressMeter heartbeat(options.progress, "explore", "schedules",
+                          options.budget);
   std::mutex error_m;
-  std::exception_ptr worker_error;
-  std::vector<std::thread> worker_threads;
-  worker_threads.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    worker_threads.emplace_back([&, w] {
-      try {
-        WorkerScratch& s = *scratch[static_cast<std::size_t>(w)];
-        ExperimentCell worker_base = base;
-        worker_base.options.process_pool = &s.pool;
-        while (true) {
-          const int i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= options.budget ||
-              i > cutoff.load(std::memory_order_relaxed)) {
-            break;
-          }
-          auto history = scratch_history(s);
-          RunRecord rec = run_schedule(worker_base, i,
-                                       spec_for(options, horizon, i),
-                                       nullptr, history);
-          Slot& slot = slots[static_cast<std::size_t>(i)];
-          slot.steps = rec.steps;
-          slot.verdict = judge(rec, options.spec, history);
-          slot.spec_skipped = slot.verdict.spec_skipped;
-          if (slot.verdict.violated || i == 0) {
-            slot.rec = std::make_unique<RunRecord>(std::move(rec));
-          }
-          slot.ran = true;
-          heartbeat.tick();
-          if (slot.verdict.violated) note_violation(i);
+  std::exception_ptr claim_error;
+  auto claim = [&](int w) {
+    try {
+      const ExperimentCell claimant_base = pooled(w);
+      WorkerScratch& s = *scratch[static_cast<std::size_t>(w)];
+      while (true) {
+        const int i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= options.budget ||
+            i > cutoff.load(std::memory_order_relaxed)) {
+          break;
         }
-      } catch (...) {
-        std::lock_guard<std::mutex> lk(error_m);
-        if (!worker_error) worker_error = std::current_exception();
+        ScheduleSpec schedule;  // kDefault under DFS (the override wins)
+        if (!dfs) {
+          schedule = spec_for(options, horizon, i);
+        } else if (i > 0 && !dfs->advance()) {
+          result.exhausted = true;  // DFS: the only claimant
+          break;
+        }
+        auto history = scratch_history(s);
+        RunRecord rec = run_schedule(claimant_base, i, schedule, dfs, history);
+        OracleVerdict v = judge(rec, options.spec, history);
+        const bool violated = v.violated;
+        slots[static_cast<std::size_t>(i)] =
+            judged(i, std::move(rec), std::move(v));
+        heartbeat.tick();
+        if (violated) note_violation(i);
       }
-    });
-  }
-  for (std::thread& t : worker_threads) t.join();
-  if (worker_error) std::rethrow_exception(worker_error);
+    } catch (...) {
+      std::lock_guard<std::mutex> lk(error_m);
+      if (!claim_error) claim_error = std::current_exception();
+    }
+  };
+  std::vector<std::thread> helpers;
+  helpers.reserve(static_cast<std::size_t>(claimants - 1));
+  for (int w = 1; w < claimants; ++w) helpers.emplace_back(claim, w);
+  claim(0);
+  for (std::thread& t : helpers) t.join();
+  if (claim_error) std::rethrow_exception(claim_error);
 
-  // Deterministic merge: replay the serial accounting in index order.
-  // Shrinking happens here, after the merge has decided which violations
-  // the serial run would have accepted — shrink is a pure function of
-  // (cell, trace, options), so deferring it cannot change a byte.
   for (int i = 0; i < options.budget; ++i) {
-    Slot& s = slots[static_cast<std::size_t>(i)];
-    if (!s.ran) break;  // only reachable past the serial stop index
-    ++result.schedules;
-    m_schedules().add();
-    result.total_steps += s.steps;
-    m_steps().add(s.steps);
-    if (i == 0 && s.rec && s.rec->schedule_trace) {
-      result.first_trace = *s.rec->schedule_trace;
-    }
-    if (s.spec_skipped) {
-      ++result.skipped_spec_checks;
-      m_spec_skips().add();
-    }
-    if (s.verdict.violated &&
-        handle_violation(i, std::move(*s.rec), s.verdict, pooled_base)) {
-      break;
-    }
+    Judged& o = slots[static_cast<std::size_t>(i)];
+    if (!o.ran) break;  // past the stop index, or the DFS tree ran out
+    if (account(i, std::move(o))) break;
+  }
+  if (dfs) {
+    result.pruned_prefixes = dfs->pruned_prefixes();
+    result.exhausted = result.exhausted || dfs->exhausted();
   }
   return result;
 }

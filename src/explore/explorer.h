@@ -5,14 +5,16 @@
 // seeded grid samples one schedule per cell. The explorer runs the SAME
 // cell under many schedules — seeded-random sampling, PCT probabilistic
 // priority schedules, or systematic bounded-DFS enumeration — and feeds
-// every run through two oracles:
+// every run through three oracles:
 //
 //   * the cell's task relation (RunRecord::ok — liveness + validity +
-//     agreement, exactly what the batch runner already checks), and
+//     agreement, exactly what the batch runner already checks),
+//   * optionally the happens-before race detector (src/analysis/) over
+//     the run's direct-mode memory history, and
 //   * optionally a SequentialSpec (src/history/linearizability.h) over
 //     the HistoryRecorder events the direct-mode run produced.
 //
-// A run failing either oracle is a VIOLATION; its recorded grant trace
+// A run failing any oracle is a VIOLATION; its recorded grant trace
 // is the counterexample. shrink() then minimizes it: ddmin over the
 // grant list, replaying each candidate through the Scripted policy.
 // Because scripted replay skips unmatched entries and falls back to the
@@ -21,18 +23,24 @@
 // dropped without losing the failure — and is re-verified by one final
 // replay.
 //
-// Scaling: random/PCT searches are embarrassingly parallel — each
-// schedule is a declarative ScheduleSpec, a pure function of its index.
-// Two fan-outs exist: `threads` runs N in-process workers (each owning
-// its own controller, policy, history recorder and process-thread pool)
-// whose per-index outcomes merge deterministically back into the serial
-// report, byte for byte; `shards` ships the batch over the subprocess
-// wire protocol (src/dist/) exactly like experiment grids. Bounded DFS
-// carries its search tree across runs and is in-process serial only
-// (threads > 1 falls back to the serial engine).
+// Accounting: every finished schedule passes through ONE accounting
+// step, in schedule-index order — schedule and step totals, the first
+// trace, spec skips, the explore.* counters, violation handling with
+// shrink, and the max_violations stop. Three sources feed it:
+//
+//   * the PCT horizon probe, at index -1;
+//   * the in-process claim loop: claimants take schedule indices from a
+//     shared counter, and their outcomes are accounted in index order
+//     after they finish. A serial search is one claimant on the calling
+//     thread; bounded DFS (whose search tree spans runs) is always one;
+//     `threads` = N runs N claimants, each owning its controller,
+//     policy, history recorder and process-thread pool, so the report
+//     is byte-identical to the serial one;
+//   * the shard pool: `shards` ships the schedules as declarative cells
+//     over the subprocess wire protocol (src/dist/), random/PCT only,
+//     since each schedule is a pure function of its index.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -43,7 +51,6 @@
 #include "src/explore/policy.h"
 #include "src/explore/trace.h"
 #include "src/history/linearizability.h"
-#include "src/obs/metrics.h"
 
 namespace mpcn {
 
@@ -55,7 +62,12 @@ enum class ExplorePolicy { kSeededRandom, kPct, kBoundedDfs };
 const char* to_string(ExplorePolicy policy);
 ExplorePolicy explore_policy_from_string(const std::string& s);
 
-struct ExploreOptions {
+// Pool and sidecar knobs come from PoolOptions: `shards` > 0 fans the
+// schedule batch out over worker subprocesses through src/dist/
+// (random/PCT only; requires a registry-named cell), and `progress`
+// prints a stderr heartbeat of schedules completed, rate and ETA. The
+// telemetry knobs are sidecar-only and apply to the shard pool.
+struct ExploreOptions : PoolOptions {
   ExplorePolicy policy = ExplorePolicy::kPct;
   // Base seed: schedule i runs under seed + i (random/PCT).
   std::uint64_t seed = 1;
@@ -96,39 +108,13 @@ struct ExploreOptions {
   // themselves, so sharded and in-process searches stay byte-identical.
   bool check_races = false;
 
-  // > 0: fan the schedule batch out over worker subprocesses through
-  // src/dist/ (random/PCT only; requires a registry-named cell).
-  int shards = 0;
-  std::vector<std::string> worker_argv;  // empty = fork workers
   // Parallel in-process search: > 1 partitions the schedule budget by
-  // index across this many worker threads (random/PCT; bounded DFS
-  // falls back to serial — its search tree spans runs). Results merge
-  // by schedule index, so the report, violations, shrunk traces and
-  // exit codes are byte-identical to the serial run. 0/1 = serial.
-  // With shards > 0 this is instead the per-shard-runner pool size
-  // (BatchOptions::threads), as before.
+  // index across this many claimant threads (random/PCT; bounded DFS
+  // stays serial — its search tree spans runs). Results merge by
+  // schedule index, so the report, violations, shrunk traces and exit
+  // codes are byte-identical to the serial run. 0/1 = serial. Does not
+  // combine with shards: shards > 0 with threads > 1 is rejected.
   int threads = 0;
-
-  // Telemetry (sidecar-only — none of these can change a result byte):
-  //
-  // stderr heartbeat while searching: schedules completed, rate, ETA.
-  // In-process engines print from a sampling thread; the sharded backend
-  // prints on result arrivals (ShardOptions::progress).
-  bool progress = false;
-  // Non-null with shards > 0: collect one MetricsSnapshot per surviving
-  // worker subprocess at pool shutdown (see ShardOptions::worker_metrics).
-  std::vector<MetricsSnapshot>* worker_metrics = nullptr;
-  // Health-layer passthrough to the sharded backend (ShardOptions
-  // semantics): streaming heartbeat interval, heartbeat-age write-off
-  // threshold, span-ring harvest and the per-slot health table. All
-  // ignored without shards; all sidecar-only.
-  std::chrono::milliseconds telemetry_interval{0};
-  std::chrono::milliseconds heartbeat_stale_after{0};
-  std::vector<ProcessTrace>* worker_traces = nullptr;
-  std::vector<WorkerHealth>* health = nullptr;
-  // Fault injection for the health layer (ShardOptions::worker_stop_after):
-  // slot i freezes (SIGSTOP) after replying to worker_stop_after[i] cells.
-  std::vector<int> worker_stop_after;
 };
 
 struct ExploreViolation {
@@ -184,7 +170,7 @@ struct ExploreResult {
 // Run the search. `cell` is one executable cell (Experiment::cells());
 // its schedule/policy fields are overridden per run. Throws
 // ProtocolError on unusable configurations (sharded DFS, sharded spec
-// oracle, non-lock-step cells).
+// oracle, shards with threads > 1, non-lock-step cells).
 ExploreResult explore(const ExperimentCell& cell,
                       const ExploreOptions& options);
 

@@ -205,6 +205,19 @@ TEST(Cli, RunShardedMatchesInProcessAndDiffsClean) {
   EXPECT_NE(out.find("no regressions"), std::string::npos);
 }
 
+TEST(Cli, ThreadsWithShardsIsRejected) {
+  // The shard pool runs one cell per worker subprocess, so --threads has
+  // nothing to size there: refused as a usage error, not ignored.
+  EXPECT_EQ(run_cli({"mpcn", "explore", "snapshot_churn", "--in", "3,0,1",
+                     "--policy", "random", "--budget", "20", "--shards", "2",
+                     "--fork-workers", "--threads", "4"}),
+            2);
+  EXPECT_EQ(run_cli({"mpcn", "run", "snapshot_churn", "--in", "3,0,1",
+                     "--seeds", "1..4", "--shards", "2", "--fork-workers",
+                     "--threads", "4"}),
+            2);
+}
+
 TEST(Cli, DiffFlagsInjectedStepRegression) {
   TempFile a("cli_test_diff_a.json");
   TempFile b("cli_test_diff_b.json");

@@ -2,13 +2,14 @@
 // the allocation-lean run machinery under it.
 //
 // The contract under test is byte-identity: `explore` with threads = N
-// must produce the SAME report JSON, violations, shrunk traces and
-// exit-code-determining flags as the serial run, for every policy and
-// oracle combination — parallelism is a wall-clock lever, never a
-// semantics lever. The same holds one level down for ProcessPool-hosted
+// or shards = K must produce the SAME report JSON, violations, shrunk
+// traces, exit-code-determining flags and explore.* counters as the
+// serial run, for every policy and oracle combination — parallelism is
+// a wall-clock lever, never a semantics lever. The same holds one level down for ProcessPool-hosted
 // executions vs per-run spawned threads.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "src/dist/wire.h"
 #include "src/experiment/experiment.h"
 #include "src/explore/explorer.h"
+#include "src/obs/metrics.h"
 #include "src/runtime/process_pool.h"
 
 namespace mpcn {
@@ -67,6 +69,58 @@ void expect_parallel_matches_serial(const std::string& scenario,
         << " mem=" << static_cast<int>(mem) << " races=" << check_races
         << " threads=" << threads;
   }
+
+  // The shard pool is the third source of the same accounting step.
+  opts.threads = 0;
+  opts.shards = 2;  // fork workers: no binary needed
+  EXPECT_EQ(observable(explore(cell, opts)), serial)
+      << scenario << " policy=" << to_string(policy)
+      << " mem=" << static_cast<int>(mem) << " races=" << check_races
+      << " shards=2";
+}
+
+// The explore.* counters one explore() call moved (zero entries dropped).
+std::map<std::string, std::uint64_t> explore_counter_deltas(
+    const ExperimentCell& cell, const ExploreOptions& opts,
+    std::string* observed) {
+  const MetricsSnapshot before = metrics_registry().snapshot();
+  *observed = observable(explore(cell, opts));
+  const MetricsSnapshot delta =
+      metrics_registry().snapshot().delta_since(before);
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, value] : delta.counters) {
+    if (name.rfind("explore.", 0) == 0) out[name] = value;
+  }
+  return out;
+}
+
+// Serial, threads = 3 and shards = 2 agree on the report AND on every
+// explore.* counter the search moved. Returns the serial result.
+ExploreResult expect_backends_agree(const ExperimentCell& cell,
+                                    ExploreOptions opts) {
+  opts.threads = 0;
+  opts.shards = 0;
+  const ExploreResult serial_result = explore(cell, opts);
+  std::string serial;
+  const auto serial_counters = explore_counter_deltas(cell, opts, &serial);
+  EXPECT_EQ(serial, observable(serial_result));
+  const auto schedules = serial_counters.find("explore.schedules");
+  EXPECT_EQ(schedules == serial_counters.end() ? 0 : schedules->second,
+            static_cast<std::uint64_t>(serial_result.schedules));
+
+  opts.threads = 3;
+  std::string threaded;
+  EXPECT_EQ(explore_counter_deltas(cell, opts, &threaded), serial_counters)
+      << "threads=3 max_violations=" << opts.max_violations;
+  EXPECT_EQ(threaded, serial);
+
+  opts.threads = 0;
+  opts.shards = 2;
+  std::string sharded;
+  EXPECT_EQ(explore_counter_deltas(cell, opts, &sharded), serial_counters)
+      << "shards=2 max_violations=" << opts.max_violations;
+  EXPECT_EQ(sharded, serial);
+  return serial_result;
 }
 
 // ------------------------------------------------- byte-identity matrix
@@ -129,6 +183,53 @@ TEST(ParallelExplore, BoundedDfsFallsBackToSerial) {
   const ExploreResult threaded = explore(cell, opts);
   EXPECT_EQ(observable(threaded), observable(serial));
   EXPECT_TRUE(serial.found());
+}
+
+TEST(ParallelExplore, BackendsMoveTheSameExploreCounters) {
+  ExperimentCell cell = named_cell("racy_register", ModelSpec{2, 0, 1}, 1,
+                                   MemKind::kPrimitive);
+  ExploreOptions opts;
+  opts.policy = ExplorePolicy::kPct;
+  opts.seed = 1;
+  opts.budget = 200;
+  opts.check_races = true;
+  // max_violations -> schedules accounted before the stop (pinned).
+  const std::map<int, int> stops = {{0, 200}, {1, 85}, {3, 166}};
+  for (const auto& [max_violations, schedules] : stops) {
+    opts.max_violations = max_violations;
+    const ExploreResult r = expect_backends_agree(cell, opts);
+    EXPECT_EQ(r.schedules, schedules) << max_violations;
+    EXPECT_EQ(r.violations.size(), max_violations == 1 ? 1u : 3u)
+        << max_violations;
+  }
+}
+
+TEST(ParallelExplore, ProbeViolationIsAccountedAlikeByEveryBackend) {
+  // The PCT horizon probe (schedule_index -1) is itself a crash
+  // violation here: at max_violations 1 it ends the search before any
+  // schedule runs, and with collect-all it is the first of the findings.
+  Experiment e = Experiment::named("safe_agreement_window", ModelSpec{2, 1, 1});
+  e.direct().seed(1).step_limit(400).inputs_fn(index_inputs);
+  const ExperimentCell cell = e.cells().front();
+  ExploreOptions opts;
+  opts.policy = ExplorePolicy::kPct;
+  opts.seed = 8;
+  opts.budget = 20;
+  opts.crash_budget = 1;
+  opts.crash_rate = 0.2;
+
+  opts.max_violations = 1;
+  const ExploreResult stopped = expect_backends_agree(cell, opts);
+  ASSERT_EQ(stopped.violations.size(), 1u);
+  EXPECT_EQ(stopped.violations.front().schedule_index, -1);
+  EXPECT_TRUE(stopped.violations.front().crashed);
+  EXPECT_EQ(stopped.schedules, 0);
+
+  opts.max_violations = 0;
+  const ExploreResult all = expect_backends_agree(cell, opts);
+  ASSERT_EQ(all.violations.size(), 5u);
+  EXPECT_EQ(all.violations.front().schedule_index, -1);
+  EXPECT_EQ(all.schedules, 20);
 }
 
 // ----------------------------------------------- pooled execution layer

@@ -320,6 +320,14 @@ TEST(Explore, RejectsUnshardableConfigurations) {
   spec.shards = 2;
   spec.spec = std::make_shared<const SnapshotSpec>(2);
   EXPECT_THROW(explore(cell, spec), ProtocolError);
+
+  // The shard pool runs one schedule per worker subprocess: a thread
+  // count on top of it would be silently ignored, so it is refused.
+  ExploreOptions threaded;
+  threaded.policy = ExplorePolicy::kPct;
+  threaded.shards = 2;
+  threaded.threads = 4;
+  EXPECT_THROW(explore(cell, threaded), ProtocolError);
 }
 
 // --------------------------------------------------- wire integration
