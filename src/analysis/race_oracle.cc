@@ -160,10 +160,10 @@ Json AccessSite::to_json() const {
 AccessSite AccessSite::from_json(const Json& j) {
   AccessSite s;
   const Json& t = j.at("tid");
-  s.tid.pid = static_cast<int>(t.at(0).as_int());
-  s.tid.sub = static_cast<int>(t.at(1).as_int());
+  s.tid.pid = t.at(0).as_int32();
+  s.tid.sub = t.at(1).as_int32();
   s.op = j.at("op").as_string();
-  s.event_index = static_cast<int>(j.at("event_index").as_int());
+  s.event_index = j.at("event_index").as_int32();
   s.invoke_step = static_cast<std::uint64_t>(j.at("invoke_step").as_int());
   s.response_step =
       static_cast<std::uint64_t>(j.at("response_step").as_int());
@@ -196,7 +196,7 @@ Json RaceReport::to_json() const {
 RaceReport RaceReport::from_json(const Json& j) {
   RaceReport r;
   r.kind = race_kind_from_string(j.at("kind").as_string());
-  r.cell = static_cast<int>(j.at("cell").as_int());
+  r.cell = j.at("cell").as_int32();
   r.first = AccessSite::from_json(j.at("first"));
   r.second = AccessSite::from_json(j.at("second"));
   if (r.kind == RaceKind::kTornWindow) {

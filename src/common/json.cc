@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 namespace mpcn {
 
@@ -74,6 +75,16 @@ void Json::require(Kind k) const {
     throw JsonError(std::string("Json: expected ") + kind_name(k) + ", have " +
                     kind_name(kind_));
   }
+}
+
+int Json::as_int32() const {
+  const std::int64_t v = as_int();
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    throw JsonError("Json: integer " + std::to_string(v) +
+                    " is out of int range");
+  }
+  return static_cast<int>(v);
 }
 
 Json& Json::set(const std::string& key, Json v) {

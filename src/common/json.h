@@ -77,6 +77,10 @@ class Json {
     require(Kind::kInt);
     return int_;
   }
+  // as_int() narrowed to int, throwing JsonError when the value does not
+  // fit: parsers of untrusted bytes read int fields through this, so
+  // 2^32 + 3 is rejected instead of silently truncating to 3.
+  int as_int32() const;
   double as_double() const {  // any number reads as double
     if (is_int()) return static_cast<double>(int_);
     require(Kind::kDouble);

@@ -185,9 +185,61 @@ class TelemetryStreamer {
   std::thread thread_;
 };
 
+// A grid cell rebuilt from its spec and run. A spec that fails to
+// rebuild (unknown scenario, invalid model) yields its error record: the
+// spec's identity fields still label it.
+RunRecord run_spec(const CellSpec& spec) {
+  try {
+    return run_cell(spec.to_cell());
+  } catch (const std::exception& e) {
+    return spec.error_record(e.what());
+  }
+}
+
 }  // namespace
 
 // --------------------------------------------------------------- worker
+
+RangeOutcome run_schedule_range(const ScheduleRange& range,
+                                std::unique_ptr<RunScratch>& scratch) {
+  RangeOutcome out;
+  out.steps.reserve(static_cast<std::size_t>(std::max(range.count, 0)));
+  CellSpec spec = range.base;  // restamped per schedule on rebuild errors
+  const int first = spec.cell_index;
+  const std::uint64_t seed = spec.schedule.seed;
+  ExperimentCell cell;
+  std::string rebuild_error;
+  try {
+    cell = spec.to_cell();
+    const int processes = std::max(1, static_cast<int>(cell.inputs.size()));
+    if (!scratch || scratch->pool.size() < processes) {
+      scratch = std::make_unique<RunScratch>(processes);
+    }
+    cell.options.process_pool = &scratch->pool;
+  } catch (const std::exception& e) {
+    rebuild_error = e.what();
+  }
+  for (int j = 0; j < range.count; ++j) {
+    RunRecord rec;
+    if (rebuild_error.empty()) {
+      cell.cell_index = first + j;
+      cell.schedule.seed = seed + static_cast<std::uint64_t>(j);
+      cell.history = cell.check_races ? scratch->next_history() : nullptr;
+      rec = run_cell(cell);
+    } else {
+      spec.cell_index = first + j;
+      rec = spec.error_record(rebuild_error);
+    }
+    out.steps.push_back(rec.steps);
+    // Keep what explore's accounting reads: the records of violations
+    // (its oracles without the in-process spec) and schedule 0, whose
+    // grant trace becomes ExploreResult::first_trace.
+    if (!rec.ok() || rec.raced() || rec.cell_index == 0) {
+      out.records.push_back(std::move(rec));
+    }
+  }
+  return out;
+}
 
 void run_worker_loop(LineIO& io, const WorkerOptions& options) {
   // One mutex serializes every write: results and error lines from this
@@ -199,7 +251,8 @@ void run_worker_loop(LineIO& io, const WorkerOptions& options) {
   };
   TelemetryStreamer streamer(io, write_mu);
   if (!send(hello_line())) return;
-  int cells_received = 0;
+  std::unique_ptr<RunScratch> scratch;  // built by the first chunk
+  int cells_received = 0;  // jobs: cell and chunk messages alike
   int cells_replied = 0;
   std::string line;
   while (io.read_line(line)) {
@@ -234,34 +287,41 @@ void run_worker_loop(LineIO& io, const WorkerOptions& options) {
         if (msg.want_trace) set_tracing_enabled(true);
         streamer.arm(msg.telemetry_interval_ms);
         break;
-      case WireMessage::Type::kCell: {
+      case WireMessage::Type::kCell:
+      case WireMessage::Type::kChunk: {
         ++cells_received;
         if (options.max_cells > 0 && cells_received >= options.max_cells) {
-          return;  // injected crash: die with the cell unanswered
+          return;  // injected crash: die with the job unanswered
         }
-        const CellSpec& spec = *msg.spec;
-        RunRecord rec;
-        {
-          ScopedSpan span("worker.cell", "shard", spec.cell_index);
-          try {
-            rec = run_cell(spec.to_cell());
-          } catch (const std::exception& e) {
-            // to_cell() failures (unknown scenario, invalid model): the
-            // spec's identity fields still label the error record.
-            rec = spec.error_record(e.what());
+        std::string reply;
+        int schedules = 1;
+        if (msg.type == WireMessage::Type::kCell) {
+          RunRecord rec;
+          {
+            ScopedSpan span("worker.cell", "shard", msg.spec->cell_index);
+            rec = run_spec(*msg.spec);
           }
+          reply = result_line(msg.id, rec);
+        } else {
+          RangeOutcome out;
+          {
+            ScopedSpan span("worker.cell", "shard", msg.id);
+            out = run_schedule_range(*msg.range, scratch);
+          }
+          reply = chunk_result_line(msg.id, out);
+          schedules = msg.range->count;
         }
-        m_worker_cells_served().add();
-        // Reply + after-cell heartbeat in one write (beat is a no-op
+        m_worker_cells_served().add(static_cast<std::uint64_t>(schedules));
+        // Reply + after-job heartbeat in one write (beat is a no-op
         // until armed, so this is just the reply on plain runs).
-        if (!streamer.reply_and_beat(result_line(msg.id, rec))) return;
+        if (!streamer.reply_and_beat(reply)) return;
         ++cells_replied;
         if (options.stop_after_cells > 0 &&
             cells_replied >= options.stop_after_cells) {
-          // Injected freeze BETWEEN cells: quiesce the streamer so the
+          // Injected freeze BETWEEN jobs: quiesce the streamer so the
           // last wire bytes are whole lines, then stop the whole
           // process. Only heartbeat staleness can notice this — there
-          // is no cell outstanding for the watchdog to time out. A
+          // is no job outstanding for the watchdog to time out. A
           // SIGCONT would resume the loop (heartbeats stay off); the
           // coordinator's write-off SIGKILL ends it for good.
           streamer.stop();
@@ -271,6 +331,7 @@ void run_worker_loop(LineIO& io, const WorkerOptions& options) {
       }
       case WireMessage::Type::kHello:
       case WireMessage::Type::kResult:
+      case WireMessage::Type::kChunkResult:
       case WireMessage::Type::kError:
       case WireMessage::Type::kMetrics:
       case WireMessage::Type::kTrace:
@@ -325,16 +386,21 @@ void close_fd(int& fd) {
   }
 }
 
-// Reap `pid`: give it `grace` to exit on its own, then SIGKILL.
+// Reap `pid`: give it `grace` to exit on its own, then SIGKILL. The
+// poll backs off from 20 us, doubling to 2 ms: a worker whose fd was
+// just closed exits within microseconds, and a fixed 2 ms nap per worker
+// was most of a small pool's shutdown cost.
 void reap(pid_t pid, std::chrono::milliseconds grace) {
   if (pid <= 0) return;
   const auto deadline = std::chrono::steady_clock::now() + grace;
+  std::chrono::microseconds nap{20};
   int status = 0;
   for (;;) {
     const pid_t r = ::waitpid(pid, &status, WNOHANG);
     if (r != 0) return;  // reaped (or ECHILD)
     if (std::chrono::steady_clock::now() >= deadline) break;
-    ::usleep(2000);
+    std::this_thread::sleep_for(nap);
+    nap = std::min(nap * 2, std::chrono::microseconds(2000));
   }
   ::kill(pid, SIGKILL);
   ::waitpid(pid, &status, 0);
@@ -443,38 +509,36 @@ bool send_line(int fd, const std::string& line) {
   return true;
 }
 
-}  // namespace
+// One job of the pool: a grid cell (count 0; the cell/result pair) or a
+// schedule range starting at spec's cell_index (count >= 1; the
+// chunk/chunk_result pair). The caller owns the specs.
+struct PoolJob {
+  const CellSpec* spec = nullptr;
+  int count = 0;
+};
 
-Report run_sharded(const std::vector<ExperimentCell>& cells,
-                   const ShardOptions& options) {
+// What the pool hands back: cell records in arrival order (a requeued
+// cell may answer twice; Report::merge drops the duplicate) and range
+// outcomes by job.
+struct PoolResult {
+  std::vector<RunRecord> records;
+  std::vector<RangeOutcome> ranges;
+};
+
+void require_shards(const ShardOptions& options) {
   if (options.shards <= 0) {
     throw ProtocolError("run_sharded: need shards >= 1 (use BatchRunner "
                         "with shards = 0 for in-process runs)");
   }
-  // Serialize every cell up front: fail fast on non-wire-serializable
-  // grids before any process is forked.
-  std::vector<CellSpec> specs;
-  specs.reserve(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    CellSpec spec = CellSpec::from_cell(cells[i]);
-    if (spec.cell_index != static_cast<int>(i)) {
-      throw ProtocolError(
-          "run_sharded: cells must be grid-stamped with cell_index == "
-          "position (Experiment::cells() provides this); cell " +
-          std::to_string(i) + " has cell_index " +
-          std::to_string(spec.cell_index));
-    }
-    specs.push_back(std::move(spec));
-  }
-  const std::string title = derive_report_title(cells, options.title);
-  if (cells.empty()) {
-    Report empty;
-    empty.title = title;
-    return empty;
-  }
+}
 
+// The coordinator loop, one for both job kinds: dispatch, requeue,
+// respawn, the watchdog, stale write-off, health, harvest and the
+// in-process fallback. `jobs` is non-empty.
+PoolResult run_pool(const std::vector<PoolJob>& jobs,
+                    const ShardOptions& options) {
   const int shard_count =
-      std::min<int>(options.shards, static_cast<int>(cells.size()));
+      std::min<int>(options.shards, static_cast<int>(jobs.size()));
   std::vector<WorkerProc> workers;
   workers.reserve(static_cast<std::size_t>(shard_count));
   std::vector<int> sibling_fds;
@@ -498,10 +562,29 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
   }
 
   std::deque<std::size_t> pending;
-  for (std::size_t i = 0; i < cells.size(); ++i) pending.push_back(i);
-  std::vector<bool> seen(cells.size(), false);
+  for (std::size_t i = 0; i < jobs.size(); ++i) pending.push_back(i);
+  std::vector<bool> seen(jobs.size(), false);
   std::size_t done = 0;
-  Report arrivals;  // records in arrival order; merged into grid order
+  PoolResult out;
+  out.ranges.resize(jobs.size());
+  // Schedules per job (a grid cell is one): what health, worker counters
+  // and the progress line count.
+  const auto schedules_of = [&](std::size_t id) {
+    return std::max(jobs[id].count, 1);
+  };
+  std::size_t total_schedules = 0;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    total_schedules += static_cast<std::size_t>(schedules_of(i));
+  }
+  std::size_t done_schedules = 0;
+  // Dispatch and requeue events name a job by its first cell_index.
+  const auto job_event = [&](std::size_t id, std::size_t slot) {
+    return Json::object()
+        .set("cell_index",
+             static_cast<std::int64_t>(jobs[id].spec->cell_index))
+        .set("count", static_cast<std::int64_t>(schedules_of(id)))
+        .set("slot", static_cast<std::int64_t>(slot));
+  };
 
   // The live per-slot health table, fed by heartbeats and results.
   // Slots persist across respawns; copied out to options.health at
@@ -608,11 +691,7 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
         pending.push_front(w.outstanding);
         m_cells_requeued().add();
         m_queue_depth().set(static_cast<std::int64_t>(pending.size()));
-        log_event("cell_requeue",
-                  Json::object()
-                      .set("cell_index",
-                           static_cast<std::int64_t>(w.outstanding))
-                      .set("slot", static_cast<std::int64_t>(slot)));
+        log_event("cell_requeue", job_event(w.outstanding, slot));
       }
     }
     // Schedule the slot's relaunch while respawn budget remains; the
@@ -648,19 +727,22 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
   auto report_progress = [&] {
     if (!options.progress) return;
     const auto now = std::chrono::steady_clock::now();
-    if (done < cells.size() &&
+    if (done < jobs.size() &&
         now - progress_last < std::chrono::milliseconds(500)) {
       return;
     }
     progress_last = now;
     const double secs =
         std::chrono::duration<double>(now - progress_started).count();
-    const double rate = secs > 0 ? static_cast<double>(done) / secs : 0.0;
+    const double rate =
+        secs > 0 ? static_cast<double>(done_schedules) / secs : 0.0;
     const double eta =
-        rate > 0 ? static_cast<double>(cells.size() - done) / rate : 0.0;
+        rate > 0 ? static_cast<double>(total_schedules - done_schedules) /
+                       rate
+                 : 0.0;
     std::fprintf(stderr,
                  "[shard] %zu/%zu cells (%.0f/s, eta %.1fs, queue %zu)\n",
-                 done, cells.size(), rate, eta, pending.size());
+                 done_schedules, total_schedules, rate, eta, pending.size());
   };
 
   // Returns false on a protocol violation (caller writes the worker off).
@@ -684,15 +766,24 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
         std::fprintf(stderr, "[shard] worker reported: %s\n",
                      msg.message.c_str());
         return true;
-      case WireMessage::Type::kResult: {
-        if (!msg.record || !w.busy ||
-            msg.id != static_cast<std::int64_t>(w.outstanding) ||
-            msg.record->cell_index != static_cast<int>(w.outstanding)) {
-          return false;  // an answer we never asked for
-        }
+      case WireMessage::Type::kResult:
+      case WireMessage::Type::kChunkResult: {
+        if (!w.busy) return false;
         const std::size_t id = w.outstanding;
+        const PoolJob& job = jobs[id];
+        // Only the answer to the job in flight, in its own kind.
+        const bool answers_job =
+            msg.type == WireMessage::Type::kResult
+                ? job.count == 0 && msg.record &&
+                      msg.id == static_cast<std::int64_t>(id) &&
+                      msg.record->cell_index == job.spec->cell_index
+                : job.count > 0 && msg.outcome &&
+                      msg.id == job.spec->cell_index &&
+                      msg.outcome->steps.size() ==
+                          static_cast<std::size_t>(job.count);
+        if (!answers_job) return false;  // an answer we never asked for
         w.busy = false;
-        ++health[slot_of(w)].cells_served;
+        health[slot_of(w)].cells_served += schedules_of(id);
         const auto now = std::chrono::steady_clock::now();
         const auto latency_us =
             std::chrono::duration_cast<std::chrono::microseconds>(
@@ -706,12 +797,14 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
               std::max<std::int64_t>(latency_us, 0));
           record_span("shard.cell", "shard",
                       end_us >= dur ? end_us - dur : 0, dur,
-                      static_cast<std::int64_t>(id));
+                      static_cast<std::int64_t>(job.spec->cell_index));
         }
-        arrivals.records.push_back(std::move(*msg.record));
+        if (msg.record) out.records.push_back(std::move(*msg.record));
         if (!seen[id]) {
+          if (msg.outcome) out.ranges[id] = std::move(*msg.outcome);
           seen[id] = true;
           ++done;
+          done_schedules += static_cast<std::size_t>(schedules_of(id));
         }
         report_progress();
         return true;
@@ -733,13 +826,14 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
         // telemetry must never kill a worker.
         return true;
       case WireMessage::Type::kCell:
+      case WireMessage::Type::kChunk:
       case WireMessage::Type::kShutdown:
         return false;  // coordinator-only messages coming back at us
     }
     return false;
   };
 
-  while (done < cells.size()) {
+  while (done < jobs.size()) {
     // Churn hardening: relaunch written-off slots whose backoff expired.
     // The fresh subprocess inherits the slot's fault-injection quota
     // (spawn_worker keys worker_max_cells by slot index).
@@ -787,13 +881,16 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
       }
     }
 
-    // Dispatch: one outstanding cell per live worker; streaming the next
-    // cell only on completion makes the load self-balancing.
+    // Dispatch: one outstanding job per live worker; streaming the next
+    // job only on completion makes the load self-balancing.
     for (WorkerProc& w : workers) {
       if (!w.alive || w.busy || pending.empty()) continue;
       const std::size_t id = pending.front();
-      if (!send_line(w.fd, cell_line(static_cast<std::int64_t>(id),
-                                     specs[id]))) {
+      const PoolJob& job = jobs[id];
+      const std::string line =
+          job.count == 0 ? cell_line(static_cast<std::int64_t>(id), *job.spec)
+                         : chunk_line(*job.spec, job.count);
+      if (!send_line(w.fd, line)) {
         write_off(w, "write failed");
         continue;
       }
@@ -803,11 +900,7 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
       w.sent_at = std::chrono::steady_clock::now();
       m_cells_dispatched().add();
       m_queue_depth().set(static_cast<std::int64_t>(pending.size()));
-      log_event("cell_dispatch",
-                Json::object()
-                    .set("cell_index", static_cast<std::int64_t>(id))
-                    .set("slot",
-                         static_cast<std::int64_t>(slot_of(w))));
+      log_event("cell_dispatch", job_event(id, slot_of(w)));
     }
 
     std::vector<pollfd> fds;
@@ -841,12 +934,14 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
       continue;
     }
 
-    // The watchdog deadline scales with the cell's own wall_limit: a
-    // worker is presumed hung only once its cell has exceeded the
-    // runtime the user allowed it PLUS the grace period, so cells that
-    // legitimately run for minutes are never killed early.
+    // The watchdog deadline scales with the job's own wall_limit: a
+    // worker is presumed hung only once its job has exceeded the runtime
+    // the user allowed it — wall_limit per schedule, m x wall_limit for
+    // a range of m — PLUS the grace period, so jobs that legitimately
+    // run for minutes are never killed early.
     const auto effective_timeout_ms = [&](std::size_t id) {
-      return specs[id].wall_limit_ms + options.watchdog_grace.count();
+      return schedules_of(id) * jobs[id].spec->wall_limit_ms +
+             options.watchdog_grace.count();
     };
     int timeout_ms = -1;
     if (options.watchdog_grace.count() > 0) {
@@ -1068,6 +1163,8 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
         options.worker_traces->push_back(std::move(pt));
       }
     }
+    // Close every fd before reaping any worker, so the whole pool sees
+    // EOF and exits concurrently.
     for (WorkerProc& w : workers) {
       if (!w.alive) continue;
       health[slot_of(w)].last_heard_age_ms =
@@ -1077,6 +1174,9 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
                     .set("slot", static_cast<std::int64_t>(slot_of(w)))
                     .set("cells_served", health[slot_of(w)].cells_served));
       close_fd(w.fd);
+    }
+    for (WorkerProc& w : workers) {
+      if (!w.alive) continue;
       reap(w.pid, std::chrono::milliseconds(500));
       w.pid = -1;
       w.alive = false;
@@ -1084,36 +1184,74 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
   }
 
   // Degraded mode: every worker died with every respawn budget spent and
-  // cells unserved. Either fail cleanly or run the remainder in-process —
-  // a sharded run may get slower, but it never loses cells.
-  if (done < cells.size()) {
+  // jobs unserved. Either fail cleanly or run the remainder in-process,
+  // through the same runners the workers use — a sharded run may get
+  // slower, but it never loses cells.
+  if (done < jobs.size()) {
+    const std::size_t unserved = total_schedules - done_schedules;
     if (!options.fallback_in_process) {
       throw ProtocolError(
           "run_sharded: worker pool drained (" +
           std::to_string(workers.size()) + " slot(s) dead after " +
           std::to_string(options.max_respawns) +
-          " respawn(s) each) with " +
-          std::to_string(cells.size() - done) +
+          " respawn(s) each) with " + std::to_string(unserved) +
           " cells unserved and fallback_in_process disabled");
     }
     std::fprintf(stderr,
                  "[shard] %zu cells had no surviving worker; running them "
                  "in-process\n",
-                 cells.size() - done);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
+                 unserved);
+    std::unique_ptr<RunScratch> scratch;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
       if (seen[i]) continue;
-      arrivals.records.push_back(run_cell(cells[i]));
+      const PoolJob& job = jobs[i];
+      if (job.count == 0) {
+        out.records.push_back(run_spec(*job.spec));
+      } else {
+        out.ranges[i] =
+            run_schedule_range(ScheduleRange{*job.spec, job.count}, scratch);
+      }
       seen[i] = true;
       ++done;
-      m_fallback_cells().add();
+      done_schedules += static_cast<std::size_t>(schedules_of(i));
+      m_fallback_cells().add(static_cast<std::uint64_t>(schedules_of(i)));
       report_progress();
     }
   }
 
   if (options.health != nullptr) *options.health = std::move(health);
+  return out;
+}
 
+}  // namespace
+
+Report run_sharded(const std::vector<ExperimentCell>& cells,
+                   const ShardOptions& options) {
+  require_shards(options);
+  // Serialize every cell up front: fail fast on non-wire-serializable
+  // grids before any process is forked.
+  std::vector<CellSpec> specs;
+  specs.reserve(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    CellSpec spec = CellSpec::from_cell(cells[i]);
+    if (spec.cell_index != static_cast<int>(i)) {
+      throw ProtocolError(
+          "run_sharded: cells must be grid-stamped with cell_index == "
+          "position (Experiment::cells() provides this); cell " +
+          std::to_string(i) + " has cell_index " +
+          std::to_string(spec.cell_index));
+    }
+    specs.push_back(std::move(spec));
+  }
+  Report arrivals;
+  if (!cells.empty()) {
+    std::vector<PoolJob> jobs;
+    jobs.reserve(specs.size());
+    for (const CellSpec& spec : specs) jobs.push_back(PoolJob{&spec, 0});
+    arrivals.records = run_pool(jobs, options).records;
+  }
   Report merged = Report::merge({arrivals});
-  merged.title = title;
+  merged.title = derive_report_title(cells, options.title);
   if (merged.records.size() != cells.size()) {
     throw ProtocolError("run_sharded: merged report has " +
                         std::to_string(merged.records.size()) +
@@ -1121,6 +1259,21 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
                         " cells");
   }
   return merged;
+}
+
+std::vector<RangeOutcome> run_sharded_ranges(
+    const std::vector<ScheduleRange>& ranges, const ShardOptions& options) {
+  require_shards(options);
+  std::vector<PoolJob> jobs;
+  jobs.reserve(ranges.size());
+  for (const ScheduleRange& r : ranges) {
+    if (r.count < 1) {
+      throw ProtocolError("run_sharded_ranges: a range needs count >= 1");
+    }
+    jobs.push_back(PoolJob{&r.base, r.count});
+  }
+  if (jobs.empty()) return {};
+  return run_pool(jobs, options).ranges;
 }
 
 }  // namespace mpcn

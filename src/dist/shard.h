@@ -3,28 +3,32 @@
 // protocol (wire.h), and the worker loop those subprocesses run.
 //
 // Topology: one coordinator, K workers, one socketpair per worker. The
-// coordinator streams cells — one outstanding cell per worker, next cell
-// dispatched on result arrival — so load balances itself regardless of
-// per-cell cost. Fault handling:
+// coordinator streams jobs — a grid cell (run_sharded) or a sharded
+// explore's schedule range (run_sharded_ranges) — one outstanding job
+// per worker, next job dispatched on reply arrival, so load balances
+// itself regardless of per-job cost. One loop serves both job kinds.
+// Fault handling:
 //
 //   * a worker that dies (EOF, failed write, exec failure) or violates
-//     the protocol is written off and its outstanding cell is requeued
+//     the protocol is written off and its outstanding job is requeued
 //     onto the surviving workers;
-//   * a worker whose outstanding cell overruns its own wall_limit plus
-//     the watchdog grace is SIGKILLed and treated the same;
+//   * a worker whose outstanding job overruns its own wall_limit (times
+//     the schedule count, for a range) plus the watchdog grace is
+//     SIGKILLed and treated the same;
 //   * with streaming telemetry armed (telemetry_interval > 0), every
-//     worker heartbeats on an interval and after each cell; a worker not
+//     worker heartbeats on an interval and after each job; a worker not
 //     heard from for heartbeat_stale_after — busy OR idle — is written
-//     off by heartbeat age, catching workers that freeze BETWEEN cells,
-//     which the per-cell watchdog cannot see;
+//     off by heartbeat age, catching workers that freeze BETWEEN jobs,
+//     which the per-job watchdog cannot see;
 //   * a written-off worker's SLOT is respawned (fresh subprocess, same
 //     fault-injection quota) after a capped exponential backoff, up to
 //     max_respawns attempts per slot — transient churn shrinks the pool
 //     only temporarily;
-//   * if every worker is gone, every respawn budget is spent and cells
-//     remain, the coordinator runs the remainder in-process — a sharded
-//     run degrades, it never loses cells (set fallback_in_process =
-//     false to get a clean ProtocolError instead).
+//   * if every worker is gone, every respawn budget is spent and jobs
+//     remain, the coordinator runs the remainder in-process through the
+//     workers' own runners — a sharded run degrades, it never loses
+//     cells (set fallback_in_process = false to get a clean
+//     ProtocolError instead).
 //
 // The merged Report is reassembled in grid order via Report::merge
 // (keyed by cell_index, duplicate-tolerant for cells that completed on
@@ -35,6 +39,7 @@
 #pragma once
 
 #include <chrono>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,21 +52,24 @@ namespace mpcn {
 
 struct WorkerOptions {
   // Fault injection for coordinator tests and `mpcn worker --max-cells`:
-  // exit WITHOUT replying upon receiving the max_cells-th cell message,
-  // simulating a worker crash with a cell in flight. 0 = serve forever.
+  // exit WITHOUT replying upon receiving the max_cells-th job message
+  // (cell or chunk), simulating a worker crash with a job in flight.
+  // 0 = serve forever.
   int max_cells = 0;
   // Fault injection for the health layer (`mpcn worker --stop-after`):
-  // after REPLYING to the stop_after_cells-th cell, raise(SIGSTOP) —
-  // the worker freezes BETWEEN cells with nothing outstanding, exactly
+  // after REPLYING to the stop_after_cells-th job, raise(SIGSTOP) —
+  // the worker freezes BETWEEN jobs with nothing outstanding, exactly
   // the silence only heartbeat staleness (not the per-cell watchdog)
   // can detect. 0 = never.
   int stop_after_cells = 0;
 };
 
-// Serve cells over `io` until shutdown or EOF: write hello, then answer
-// every cell line with a result line. Never crashes on bad input:
-// unparsable lines are answered with an error line; a cell that fails to
-// rebuild or execute yields a result whose record captures the error.
+// Serve jobs over `io` until shutdown or EOF: write hello, then answer
+// every cell line with a result line and every chunk line with a
+// chunk_result line (run_schedule_range, on one scratch kept across
+// chunks). Never crashes on bad input: unparsable lines are answered
+// with an error line; a cell that fails to rebuild or execute yields a
+// result whose record captures the error.
 // A telemetry config line arms the worker-side heartbeat streamer (see
 // wire.h); all writes — results, error lines and heartbeats — are
 // serialized on one mutex so lines never interleave.
@@ -75,7 +83,7 @@ struct WorkerHealth {
   int slot = -1;
   std::int64_t heartbeats = 0;      // telemetry reports received
   std::int64_t last_seq = -1;       // highest heartbeat seq seen
-  std::int64_t cells_served = 0;    // results received from this slot
+  std::int64_t cells_served = 0;    // schedules answered by this slot
   // Age of the last sign of life (any bytes received, or spawn) when
   // the slot was last examined: at write-off or teardown.
   std::int64_t last_heard_age_ms = -1;
@@ -103,7 +111,7 @@ struct PoolOptions {
   // directly — no binary needed, used by tests and library callers.
   std::vector<std::string> worker_argv;
   // Fault injection for the health layer, fork mode: slot i freezes
-  // (SIGSTOP) after replying to its worker_stop_after[i]-th cell. In
+  // (SIGSTOP) after replying to its worker_stop_after[i]-th job. In
   // exec mode the equivalent is `mpcn worker --stop-after N`.
   std::vector<int> worker_stop_after;
   // stderr progress heartbeat: in-process backends sample a completion
@@ -147,10 +155,11 @@ struct ShardOptions : PoolOptions {
   // WorkerOptions::max_cells (missing entries = 0). In exec mode the
   // equivalent is appending "--max-cells N" to worker_argv.
   std::vector<int> worker_max_cells;
-  // Watchdog: a worker whose outstanding cell has run for the cell's own
-  // wall_limit PLUS this grace is presumed hung, SIGKILLed, and its cell
-  // is requeued. Scaling with wall_limit means a cell the user allowed
-  // to run five minutes is never killed after two. <= 0 disables.
+  // Watchdog: a worker whose outstanding job has run for the job's own
+  // wall_limit (m x wall_limit for a range of m schedules) PLUS this
+  // grace is presumed hung, SIGKILLed, and its job is requeued. Scaling
+  // with wall_limit means a cell the user allowed to run five minutes is
+  // never killed after two. <= 0 disables.
   std::chrono::milliseconds watchdog_grace{30'000};
   // Churn hardening: how many times each worker SLOT may be respawned
   // after a write-off (0 = never, pre-respawn behavior). A respawned
@@ -177,6 +186,17 @@ struct ShardOptions : PoolOptions {
   std::chrono::milliseconds snapshot_deadline{2000};
 };
 
+// Run one schedule range, `scratch` reused across calls (built, or
+// rebuilt larger, on demand): the cell is rebuilt from the registry
+// once, and its schedules run on the scratch's ProcessPool and
+// arena-backed history. Keeps the step count of every schedule and the
+// record of each violation (!ok() || raced()) and of schedule 0 — what
+// explore's accounting reads. The shard worker's chunk runner, and the
+// pool's in-process fallback for chunks. Never throws on a bad spec: a
+// range that fails to rebuild yields one error record per schedule.
+RangeOutcome run_schedule_range(const ScheduleRange& range,
+                                std::unique_ptr<RunScratch>& scratch);
+
 // Run `cells` across worker subprocesses and merge the results into a
 // grid-ordered Report. Requires wire-serializable cells stamped with
 // cell_index == position (exactly what Experiment::cells() produces);
@@ -184,5 +204,12 @@ struct ShardOptions : PoolOptions {
 // in the records, not thrown.
 Report run_sharded(const std::vector<ExperimentCell>& cells,
                    const ShardOptions& options);
+
+// Run schedule ranges (a sharded explore's search) across worker
+// subprocesses as chunk messages; returns one outcome per range, in
+// range order. Same pool, fault handling and fallback as run_sharded.
+// Throws ProtocolError for a range with count < 1.
+std::vector<RangeOutcome> run_sharded_ranges(
+    const std::vector<ScheduleRange>& ranges, const ShardOptions& options);
 
 }  // namespace mpcn

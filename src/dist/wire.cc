@@ -4,6 +4,7 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <limits>
 
 #include "src/common/errors.h"
 #include "src/experiment/registry.h"
@@ -46,8 +47,8 @@ CellSpec CellSpec::from_json(const Json& j) {
     spec.source = model_spec_from_json(j.at("source"));
     spec.mode = execution_mode_from_string(j.at("mode").as_string());
     spec.target = model_spec_from_json(j.at("target"));
-    spec.hop_index = static_cast<int>(j.at("hop_index").as_int());
-    spec.cell_index = static_cast<int>(j.at("cell_index").as_int());
+    spec.hop_index = j.at("hop_index").as_int32();
+    spec.cell_index = j.at("cell_index").as_int32();
     spec.mem = mem_kind_from_string(j.at("mem").as_string());
     spec.check_legality = j.at("check_legality").as_bool();
     spec.use_scenario_task = j.at("use_scenario_task").as_bool();
@@ -220,6 +221,28 @@ std::string result_line(std::int64_t id, const RunRecord& record) {
   return j.dump();
 }
 
+std::string chunk_line(const CellSpec& base, int count) {
+  Json j = Json::object();
+  j.set("type", "chunk")
+      .set("id", base.cell_index)
+      .set("count", count)
+      .set("spec", base.to_json());
+  return j.dump();
+}
+
+std::string chunk_result_line(std::int64_t id, const RangeOutcome& outcome) {
+  Json steps = Json::array();
+  for (std::uint64_t s : outcome.steps) steps.push(Json(s));
+  Json records = Json::array();
+  for (const RunRecord& r : outcome.records) records.push(r.to_json());
+  Json j = Json::object();
+  j.set("type", "chunk_result")
+      .set("id", id)
+      .set("steps", std::move(steps))
+      .set("records", std::move(records));
+  return j.dump();
+}
+
 std::string shutdown_line(bool want_metrics, bool want_trace) {
   Json j = Json::object();
   j.set("type", "shutdown");
@@ -325,7 +348,7 @@ WireMessage parse_wire_line(const std::string& line) {
     const std::string& t = type->as_string();
     if (t == "hello") {
       msg.type = WireMessage::Type::kHello;
-      msg.protocol = static_cast<int>(j.at("protocol").as_int());
+      msg.protocol = j.at("protocol").as_int32();
     } else if (t == "cell") {
       msg.type = WireMessage::Type::kCell;
       msg.id = j.at("id").as_int();
@@ -334,6 +357,50 @@ WireMessage parse_wire_line(const std::string& line) {
       msg.type = WireMessage::Type::kResult;
       msg.id = j.at("id").as_int();
       msg.record = RunRecord::from_json(j.at("record"));
+    } else if (t == "chunk") {
+      msg.type = WireMessage::Type::kChunk;
+      msg.id = j.at("id").as_int32();
+      ScheduleRange range;
+      range.base = CellSpec::from_json(j.at("spec"));
+      range.count = j.at("count").as_int32();
+      const int first = range.base.cell_index;
+      if (msg.id != first || first < 0) {
+        throw WireError("chunk id " + std::to_string(msg.id) +
+                        " is not its spec's cell_index " +
+                        std::to_string(first));
+      }
+      if (range.count < 1 ||
+          range.count > std::numeric_limits<int>::max() - first) {
+        throw WireError("chunk count " + std::to_string(range.count) +
+                        " out of range");
+      }
+      msg.range = std::move(range);
+    } else if (t == "chunk_result") {
+      msg.type = WireMessage::Type::kChunkResult;
+      msg.id = j.at("id").as_int32();
+      RangeOutcome out;
+      for (const Json& s : j.at("steps").items()) {
+        const std::int64_t v = s.as_int();
+        if (v < 0) throw WireError("chunk_result: negative step count");
+        out.steps.push_back(static_cast<std::uint64_t>(v));
+      }
+      if (out.steps.empty()) throw WireError("chunk_result: no steps");
+      // Kept records lie inside the range, ascending, at most one each.
+      std::int64_t next = msg.id;
+      const std::int64_t end =
+          msg.id + static_cast<std::int64_t>(out.steps.size());
+      for (const Json& r : j.at("records").items()) {
+        RunRecord rec = RunRecord::from_json(r);
+        if (rec.cell_index < next || rec.cell_index >= end) {
+          throw WireError("chunk_result: record for schedule " +
+                          std::to_string(rec.cell_index) +
+                          " outside or out of order in chunk " +
+                          std::to_string(msg.id));
+        }
+        next = rec.cell_index + 1;
+        out.records.push_back(std::move(rec));
+      }
+      msg.outcome = std::move(out);
     } else if (t == "shutdown") {
       msg.type = WireMessage::Type::kShutdown;
       if (const Json* m = j.find("metrics")) msg.want_metrics = m->as_bool();

@@ -6,6 +6,9 @@
 //   worker -> coordinator   {"type":"hello","protocol":1}
 //   coordinator -> worker   {"type":"cell","id":<i>,"spec":{...}}
 //   worker -> coordinator   {"type":"result","id":<i>,"record":{...}}
+//   coordinator -> worker   {"type":"chunk","id":<a>,"count":<m>,"spec":{...}}
+//   worker -> coordinator   {"type":"chunk_result","id":<a>,
+//                            "steps":[...],"records":[...]}
 //   coordinator -> worker   {"type":"shutdown"}
 //   coordinator -> worker   {"type":"shutdown","metrics":true,"trace":true}
 //   worker -> coordinator   {"type":"metrics","snapshot":{...}}
@@ -35,6 +38,16 @@
 // before exiting — so the coordinator can merge a pool-wide view.
 // Reports never carry metrics — the byte-identity discipline is
 // untouched; every new field and message type is strictly additive.
+//
+// A grid cell (`mpcn run`) travels as a cell/result pair. A sharded
+// explore ships schedule RANGES instead, as the chunk pair: the chunk
+// carries the spec of schedule <a> (id = a = spec.cell_index) and a
+// count m >= 1; schedule a + j is that spec with schedule.seed + j and
+// cell_index + j. The worker rebuilds the cell once, runs the m
+// schedules and answers once: "steps" holds every schedule's step
+// count, "records" the full RunRecord of only the schedules explore
+// keeps — violations (!ok() || raced()) and schedule 0 — in ascending
+// cell_index inside [a, a + m).
 //
 // The framing is safe because Json::dump() escapes control characters —
 // a compact dump never contains a raw newline. Unparsable or truncated
@@ -131,6 +144,22 @@ struct CellSpec {
   RunRecord error_record(std::string error) const;
 };
 
+// A schedule range: schedules [base.cell_index, base.cell_index + count)
+// of one explore search. Schedule base.cell_index + j is `base` with
+// schedule.seed + j and cell_index + j.
+struct ScheduleRange {
+  CellSpec base;
+  int count = 0;
+};
+
+// What one range produced: the step count of every schedule, and the
+// records explore keeps (violations and schedule 0), ascending by
+// cell_index.
+struct RangeOutcome {
+  std::vector<std::uint64_t> steps;  // steps[j]: schedule first + j
+  std::vector<RunRecord> records;
+};
+
 // ------------------------------------------------------------- framing
 
 struct WireMessage {
@@ -138,6 +167,8 @@ struct WireMessage {
     kHello,
     kCell,
     kResult,
+    kChunk,
+    kChunkResult,
     kShutdown,
     kError,
     kMetrics,
@@ -146,9 +177,13 @@ struct WireMessage {
   };
   Type type = Type::kError;
   int protocol = 0;                 // kHello
-  std::int64_t id = -1;             // kCell / kResult: coordinator cell id
-  std::optional<CellSpec> spec;     // kCell
-  std::optional<RunRecord> record;  // kResult (timing included)
+  // kCell / kResult: coordinator cell id; kChunk / kChunkResult: the
+  // range's first schedule index.
+  std::int64_t id = -1;
+  std::optional<CellSpec> spec;          // kCell
+  std::optional<RunRecord> record;       // kResult (timing included)
+  std::optional<ScheduleRange> range;    // kChunk
+  std::optional<RangeOutcome> outcome;   // kChunkResult (timing included)
   std::string message;              // kError
   bool want_metrics = false;        // kShutdown: reply with a snapshot
   bool want_trace = false;          // kShutdown/kTelemetry cfg: spans too
@@ -167,6 +202,9 @@ struct WireMessage {
 std::string hello_line();
 std::string cell_line(std::int64_t id, const CellSpec& spec);
 std::string result_line(std::int64_t id, const RunRecord& record);
+// The chunk pair; a chunk's id is its first schedule, base.cell_index.
+std::string chunk_line(const CellSpec& base, int count);
+std::string chunk_result_line(std::int64_t id, const RangeOutcome& outcome);
 // want_metrics = want_trace = false emits the pre-telemetry
 // {"type":"shutdown"} bytes; the flags ask the worker for a metrics
 // and/or trace line before it exits.

@@ -144,6 +144,17 @@ RunRecord run_cell(const ExperimentCell& cell) {
   }
 }
 
+RunScratch::RunScratch(int processes)
+    : pool(processes),
+      arena(1 << 14),
+      history(std::make_shared<HistoryRecorder>(&arena)) {}
+
+std::shared_ptr<HistoryRecorder> RunScratch::next_history() {
+  history->reset();
+  arena.reset();
+  return history;
+}
+
 // -------------------------------------------------------------- builder
 
 Experiment Experiment::of(SimulatedAlgorithm algorithm) {

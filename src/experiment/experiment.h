@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/arena.h"
 #include "src/core/bg_engine.h"
 #include "src/core/models.h"
 #include "src/core/sim_api.h"
@@ -102,6 +103,25 @@ struct ExperimentCell {
 // cell cannot take down a batch.
 RunRecord run_cell_throwing(const ExperimentCell& cell);
 RunRecord run_cell(const ExperimentCell& cell);
+
+// Scratch reused across many runs of one cell: a persistent ProcessPool
+// hosting the process bodies (spawning and joining OS threads per run
+// was ~40% of the per-schedule cost at n = 2) and an arena-backed
+// HistoryRecorder whose event buffer rewinds between runs instead of
+// being freed. Each explore claimant owns one, and so does each shard
+// worker for the schedule ranges it serves. Declaration order matters:
+// `history` allocates from `arena`, so it must be destroyed first
+// (members are destroyed in reverse declaration order).
+struct RunScratch {
+  ProcessPool pool;
+  Arena arena;
+  std::shared_ptr<HistoryRecorder> history;
+
+  explicit RunScratch(int processes);
+  // Rewind for the next run and hand out the recorder (recorder first,
+  // THEN the arena backing its buffer).
+  std::shared_ptr<HistoryRecorder> next_history();
+};
 
 class Experiment {
  public:

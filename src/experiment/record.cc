@@ -85,9 +85,8 @@ Json model_spec_to_json(const ModelSpec& m) {
 }
 
 ModelSpec model_spec_from_json(const Json& j) {
-  return ModelSpec{static_cast<int>(j.at("n").as_int()),
-                   static_cast<int>(j.at("t").as_int()),
-                   static_cast<int>(j.at("x").as_int())};
+  return ModelSpec{j.at("n").as_int32(), j.at("t").as_int32(),
+                   j.at("x").as_int32()};
 }
 
 bool RunRecord::ok() const {
@@ -173,12 +172,12 @@ RunRecord RunRecord::from_json(const Json& j) {
   r.scenario = j.at("scenario").as_string();
   // Reports written before grids were index-stamped lack the field.
   if (const Json* ci = j.find("cell_index")) {
-    r.cell_index = static_cast<int>(ci->as_int());
+    r.cell_index = ci->as_int32();
   }
   r.mode = execution_mode_from_string(j.at("mode").as_string());
   r.source = model_spec_from_json(j.at("source"));
   r.target = model_spec_from_json(j.at("target"));
-  r.hop_index = static_cast<int>(j.at("hop_index").as_int());
+  r.hop_index = j.at("hop_index").as_int32();
   r.seed = static_cast<std::uint64_t>(j.at("seed").as_int());
   r.scheduler = scheduler_mode_from_string(j.at("scheduler").as_string());
   // Reports written before the wait-strategy axis existed lack the field;
@@ -223,7 +222,7 @@ RunRecord RunRecord::from_json(const Json& j) {
   if (const Json* pts = j.find("crash_points")) {
     for (const Json& p : pts->items()) {
       r.crash_points.push_back(
-          CrashPoint{static_cast<ProcessId>(p.at("pid").as_int()),
+          CrashPoint{p.at("pid").as_int32(),
                      static_cast<std::uint64_t>(p.at("at_step").as_int())});
     }
   }

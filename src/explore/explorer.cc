@@ -5,14 +5,12 @@
 #include <mutex>
 #include <thread>
 
-#include "src/common/arena.h"
 #include "src/common/errors.h"
 #include "src/dist/shard.h"
 #include "src/history/history.h"
 #include "src/obs/events.h"
 #include "src/obs/progress.h"
 #include "src/obs/spans.h"
-#include "src/runtime/process_pool.h"
 
 namespace mpcn {
 
@@ -170,24 +168,6 @@ ScheduleSpec spec_for(const ExploreOptions& opts, std::uint64_t horizon,
   }
   return s;
 }
-
-// Per-worker scratch, reused across every schedule the worker runs: a
-// persistent ProcessPool hosting the process bodies (spawning and
-// joining OS threads per run was ~40% of the per-schedule cost at
-// n = 2) and an arena-backed HistoryRecorder whose event buffer rewinds
-// between schedules instead of being freed. Declaration order matters:
-// `history` allocates from `arena`, so it must be destroyed first
-// (members are destroyed in reverse declaration order).
-struct WorkerScratch {
-  ProcessPool pool;
-  Arena arena;
-  std::shared_ptr<HistoryRecorder> history;
-
-  explicit WorkerScratch(int processes)
-      : pool(processes),
-        arena(1 << 14),
-        history(std::make_shared<HistoryRecorder>(&arena)) {}
-};
 
 // One finished schedule, as the accounting step reads it. The record is
 // kept only where accounting needs it: violations, and schedule 0 (whose
@@ -379,8 +359,8 @@ ExploreResult explore(const ExperimentCell& cell,
     }
     if (options.threads > 1) {
       throw ProtocolError(
-          "threads > 1 does not combine with shards: the shard pool runs "
-          "one schedule per worker subprocess");
+          "threads > 1 does not combine with shards: each shard worker "
+          "subprocess runs its schedules one at a time");
     }
   }
   if (options.check_races && cell.mode != ExecutionMode::kDirect) {
@@ -425,24 +405,21 @@ ExploreResult explore(const ExperimentCell& cell,
   // shrinker. pooled(w) is `base` on claimant w's process pool; `base`
   // itself stays pool-free, because the shard pool ships copies of it
   // over the wire, which rejects cells carrying live pools.
-  std::vector<std::unique_ptr<WorkerScratch>> scratch(
+  std::vector<std::unique_ptr<RunScratch>> scratch(
       static_cast<std::size_t>(claimants));
   auto pooled = [&](int w) {
-    std::unique_ptr<WorkerScratch>& s = scratch[static_cast<std::size_t>(w)];
-    if (!s) s = std::make_unique<WorkerScratch>(processes);
+    std::unique_ptr<RunScratch>& s = scratch[static_cast<std::size_t>(w)];
+    if (!s) s = std::make_unique<RunScratch>(processes);
     ExperimentCell c = base;
     c.options.process_pool = &s->pool;
     return c;
   };
 
   // Rewind a claimant's scratch for the next schedule and hand out its
-  // recorder (recorder first, THEN the arena backing its buffer).
+  // recorder.
   auto scratch_history =
-      [pass_history](WorkerScratch& s) -> std::shared_ptr<HistoryRecorder> {
-    if (!pass_history) return nullptr;
-    s.history->reset();
-    s.arena.reset();
-    return s.history;
+      [pass_history](RunScratch& s) -> std::shared_ptr<HistoryRecorder> {
+    return pass_history ? s.next_history() : nullptr;
   };
 
   // The accounting step, written once. Every source hands it finished
@@ -553,32 +530,49 @@ ExploreResult explore(const ExperimentCell& cell,
   result.pct_horizon = horizon;
 
   // ---- source 2: the shard pool -------------------------------------
-  // Declarative fan-out: one cell per schedule, shipped over the shard
-  // wire like any experiment grid. The pool runs every schedule; the
-  // accounting walk stops where the in-process search would have.
+  // The budget ships as schedule ranges, about four per worker so the
+  // load balances and a requeue loses at most about a quarter of one
+  // worker's share. Workers answer each range with every schedule's
+  // steps and only the records accounting keeps (violations and
+  // schedule 0); accounting walks them in index order and stops where
+  // the in-process search would have. The pool runs every range.
   if (options.shards > 0) {
-    std::vector<ExperimentCell> cells;
-    cells.reserve(static_cast<std::size_t>(options.budget));
-    for (int i = 0; i < options.budget; ++i) {
+    const std::int64_t ranges_wanted =
+        4 * static_cast<std::int64_t>(options.shards);
+    const int length = static_cast<int>(
+        (options.budget + ranges_wanted - 1) / ranges_wanted);
+    std::vector<ScheduleRange> ranges;
+    for (int first = 0; first < options.budget;) {
+      const int count = std::min(length, options.budget - first);
       ExperimentCell c = base;
-      c.cell_index = i;
-      c.schedule = spec_for(options, horizon, i);
+      c.cell_index = first;
+      c.schedule = spec_for(options, horizon, first);
       c.policy_override = nullptr;
       c.record_schedule = true;
       c.history = nullptr;
-      cells.push_back(std::move(c));
+      ranges.push_back(ScheduleRange{CellSpec::from_cell(c), count});
+      first += count;
     }
     ShardOptions shard;
     static_cast<PoolOptions&>(shard) = options;
     // Fork the workers from a coordinator with no pool threads alive;
     // shrinking rebuilds the probe's scratch afterwards.
     scratch[0].reset();
-    Report report = run_sharded(cells, shard);
-    for (RunRecord& rec : report.records) {
-      const int index = rec.cell_index;
-      OracleVerdict v = judge(rec, nullptr, nullptr);
-      if (account(index, judged(index, std::move(rec), std::move(v)))) {
-        break;
+    std::vector<RangeOutcome> outcomes = run_sharded_ranges(ranges, shard);
+    for (std::size_t k = 0; k < ranges.size(); ++k) {
+      RangeOutcome& out = outcomes[k];
+      auto kept = out.records.begin();
+      for (std::size_t j = 0; j < out.steps.size(); ++j) {
+        const int index = ranges[k].base.cell_index + static_cast<int>(j);
+        Judged o;
+        o.ran = true;
+        o.steps = out.steps[j];
+        if (kept != out.records.end() && kept->cell_index == index) {
+          OracleVerdict v = judge(*kept, nullptr, nullptr);
+          o = judged(index, std::move(*kept), std::move(v));
+          ++kept;
+        }
+        if (account(index, std::move(o))) return result;
       }
     }
     return result;
@@ -636,7 +630,7 @@ ExploreResult explore(const ExperimentCell& cell,
   auto claim = [&](int w) {
     try {
       const ExperimentCell claimant_base = pooled(w);
-      WorkerScratch& s = *scratch[static_cast<std::size_t>(w)];
+      RunScratch& s = *scratch[static_cast<std::size_t>(w)];
       while (true) {
         const int i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= options.budget ||

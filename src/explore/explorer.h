@@ -36,9 +36,12 @@
 //     `threads` = N runs N claimants, each owning its controller,
 //     policy, history recorder and process-thread pool, so the report
 //     is byte-identical to the serial one;
-//   * the shard pool: `shards` ships the schedules as declarative cells
-//     over the subprocess wire protocol (src/dist/), random/PCT only,
-//     since each schedule is a pure function of its index.
+//   * the shard pool: `shards` ships the budget as about four schedule
+//     ranges per worker over the subprocess wire protocol (src/dist/),
+//     random/PCT only, since each schedule is a pure function of its
+//     index. A worker answers a range with every schedule's step count
+//     and the records of its violations and of schedule 0 — all that
+//     accounting reads.
 #pragma once
 
 #include <cstdint>

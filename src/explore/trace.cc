@@ -64,8 +64,8 @@ ScheduleTrace ScheduleTrace::from_json(const Json& j) {
                           pair.dump());
     }
     ThreadId tid;
-    tid.pid = static_cast<ProcessId>(pair.at(0).as_int());
-    tid.sub = static_cast<int>(pair.at(1).as_int());
+    tid.pid = pair.at(0).as_int32();
+    tid.sub = pair.at(1).as_int32();
     trace.grants.push_back(tid);
   }
   if (const Json* marks = j.find("crashes")) {
@@ -135,7 +135,7 @@ ScheduleSpec ScheduleSpec::from_json(const Json& j) {
     spec.seed = static_cast<std::uint64_t>(s->as_int());
   }
   if (const Json* d = j.find("pct_depth")) {
-    spec.pct_depth = static_cast<int>(d->as_int());
+    spec.pct_depth = d->as_int32();
   }
   if (const Json* h = j.find("pct_horizon")) {
     spec.pct_horizon = static_cast<std::uint64_t>(h->as_int());

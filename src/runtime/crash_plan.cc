@@ -116,7 +116,7 @@ CrashPlan CrashPlan::from_json(const Json& j) {
     std::vector<CrashPoint> points;
     for (const Json& p : j.at("points").items()) {
       points.push_back(
-          CrashPoint{static_cast<ProcessId>(p.at("pid").as_int()),
+          CrashPoint{p.at("pid").as_int32(),
                      static_cast<std::uint64_t>(p.at("at_step").as_int())});
     }
     return CrashPlan::fixed(std::move(points));
@@ -124,11 +124,11 @@ CrashPlan CrashPlan::from_json(const Json& j) {
   if (kind == "hazard") {
     std::set<ProcessId> eligible;
     for (const Json& pid : j.at("eligible").items()) {
-      eligible.insert(static_cast<ProcessId>(pid.as_int()));
+      eligible.insert(pid.as_int32());
     }
     return CrashPlan::hazard(
         j.at("probability").as_double(),
-        static_cast<int>(j.at("max_crashes").as_int()),
+        j.at("max_crashes").as_int32(),
         static_cast<std::uint64_t>(j.at("seed").as_int()),
         std::move(eligible));
   }
@@ -140,13 +140,13 @@ CrashPlan CrashPlan::from_json(const Json& j) {
       throw std::invalid_argument("unknown trap_point: " + tp);
     }
     return CrashPlan::propose_trap(
-        std::move(keys), static_cast<int>(j.at("victims_per_key").as_int()),
+        std::move(keys), j.at("victims_per_key").as_int32(),
         static_cast<std::uint64_t>(j.at("extra_steps").as_int()),
         tp == "propose_entry" ? TrapPoint::kProposeEntry
                               : TrapPoint::kOwnerElected);
   }
   if (kind == "explored") {
-    return CrashPlan::explored(static_cast<int>(j.at("max_crashes").as_int()),
+    return CrashPlan::explored(j.at("max_crashes").as_int32(),
                                j.at("crash_rate").as_double());
   }
   throw std::invalid_argument("unknown CrashPlan kind: " + kind);

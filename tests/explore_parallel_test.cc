@@ -94,10 +94,12 @@ std::map<std::string, std::uint64_t> explore_counter_deltas(
   return out;
 }
 
-// Serial, threads = 3 and shards = 2 agree on the report AND on every
-// explore.* counter the search moved. Returns the serial result.
+// Serial, threads = 3 and every shard count in `shard_counts` agree on
+// the report AND on every explore.* counter the search moved. Returns
+// the serial result.
 ExploreResult expect_backends_agree(const ExperimentCell& cell,
-                                    ExploreOptions opts) {
+                                    ExploreOptions opts,
+                                    std::vector<int> shard_counts = {2}) {
   opts.threads = 0;
   opts.shards = 0;
   const ExploreResult serial_result = explore(cell, opts);
@@ -115,11 +117,16 @@ ExploreResult expect_backends_agree(const ExperimentCell& cell,
   EXPECT_EQ(threaded, serial);
 
   opts.threads = 0;
-  opts.shards = 2;
-  std::string sharded;
-  EXPECT_EQ(explore_counter_deltas(cell, opts, &sharded), serial_counters)
-      << "shards=2 max_violations=" << opts.max_violations;
-  EXPECT_EQ(sharded, serial);
+  for (int shards : shard_counts) {
+    opts.shards = shards;
+    std::string sharded;
+    EXPECT_EQ(explore_counter_deltas(cell, opts, &sharded), serial_counters)
+        << "shards=" << shards << " budget=" << opts.budget
+        << " max_violations=" << opts.max_violations;
+    EXPECT_EQ(sharded, serial) << "shards=" << shards
+                               << " budget=" << opts.budget
+                               << " max_violations=" << opts.max_violations;
+  }
   return serial_result;
 }
 
@@ -230,6 +237,41 @@ TEST(ParallelExplore, ProbeViolationIsAccountedAlikeByEveryBackend) {
   ASSERT_EQ(all.violations.size(), 5u);
   EXPECT_EQ(all.violations.front().schedule_index, -1);
   EXPECT_EQ(all.schedules, 20);
+}
+
+TEST(ParallelExplore, ShardRangesMatchSerialAtEveryChunkShape) {
+  // The shard pool ships ceil(budget / (4 shards))-schedule ranges.
+  // These budgets give ranges of one schedule, ragged last ranges, fewer
+  // ranges than workers and several ranges per worker; the stops land
+  // inside ranges, on their edges, and not at all.
+  ExperimentCell cell = named_cell("racy_register", ModelSpec{2, 0, 1}, 1,
+                                   MemKind::kPrimitive);
+  ExploreOptions opts;
+  opts.policy = ExplorePolicy::kPct;
+  opts.seed = 1;
+  opts.check_races = true;
+  for (int budget : {1, 2, 7, 13, 100}) {
+    for (int max_violations : {0, 1, 3}) {
+      opts.budget = budget;
+      opts.max_violations = max_violations;
+      expect_backends_agree(cell, opts, {1, 2, 3});
+    }
+  }
+
+  // The crash-product probe violation (schedule_index -1) ahead of the
+  // ranges, stopping the search before any range is accounted or not.
+  Experiment e = Experiment::named("safe_agreement_window", ModelSpec{2, 1, 1});
+  e.direct().seed(1).step_limit(400).inputs_fn(index_inputs);
+  ExploreOptions crash;
+  crash.policy = ExplorePolicy::kPct;
+  crash.seed = 8;
+  crash.budget = 20;
+  crash.crash_budget = 1;
+  crash.crash_rate = 0.2;
+  for (int max_violations : {0, 1, 3}) {
+    crash.max_violations = max_violations;
+    expect_backends_agree(e.cells().front(), crash, {1, 2, 3});
+  }
 }
 
 // ----------------------------------------------- pooled execution layer

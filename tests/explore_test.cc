@@ -321,8 +321,8 @@ TEST(Explore, RejectsUnshardableConfigurations) {
   spec.spec = std::make_shared<const SnapshotSpec>(2);
   EXPECT_THROW(explore(cell, spec), ProtocolError);
 
-  // The shard pool runs one schedule per worker subprocess: a thread
-  // count on top of it would be silently ignored, so it is refused.
+  // Each shard worker subprocess runs its schedules one at a time: a
+  // thread count on top of it would be silently ignored, so it is refused.
   ExploreOptions threaded;
   threaded.policy = ExplorePolicy::kPct;
   threaded.shards = 2;

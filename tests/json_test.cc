@@ -107,5 +107,14 @@ TEST(Json, EqualityIsStructural) {
   EXPECT_NE(Json(1), Json(1.0));  // kinds differ
 }
 
+TEST(Json, AsInt32NarrowsOnlyInRange) {
+  EXPECT_EQ(Json::parse("2147483647").as_int32(), 2147483647);
+  EXPECT_EQ(Json::parse("-2147483648").as_int32(), -2147483647 - 1);
+  EXPECT_THROW(Json::parse("2147483648").as_int32(), JsonError);
+  EXPECT_THROW(Json::parse("-2147483649").as_int32(), JsonError);
+  EXPECT_THROW(Json::parse("4294967299").as_int32(), JsonError);  // not 3
+  EXPECT_THROW(Json::parse("\"7\"").as_int32(), JsonError);
+}
+
 }  // namespace
 }  // namespace mpcn

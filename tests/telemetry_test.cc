@@ -31,6 +31,7 @@
 #include "src/dist/shard.h"
 #include "src/experiment/batch_runner.h"
 #include "src/experiment/experiment.h"
+#include "src/explore/explorer.h"
 #include "src/obs/events.h"
 #include "src/obs/metrics.h"
 #include "src/obs/spans.h"
@@ -125,6 +126,45 @@ TEST(Telemetry, StoppedWorkerIsWrittenOffByHeartbeatAge) {
   EXPECT_EQ(health[1].cells_served, 5);
   // Staleness, not the 60 s watchdog, must have fired the write-off.
   EXPECT_LT(wall, std::chrono::seconds(30));
+}
+
+// The same freeze under a sharded explore, which ships schedule ranges:
+// slot 0 replies to its first range and is handed the next one before it
+// freezes, so staleness must write it off with a range in flight,
+// requeue that range, and leave the search report equal to serial.
+TEST(Telemetry, FrozenExploreWorkerRangeIsRequeued) {
+  Experiment e = Experiment::named("racy_register", ModelSpec{2, 0, 1});
+  e.direct().seed(1).inputs({Value(0), Value(1)});
+  const ExperimentCell cell = e.cells().front();
+  ExploreOptions opts;
+  opts.policy = ExplorePolicy::kPct;
+  opts.budget = 80;  // 8 ranges of 10 schedules on 2 shards
+  opts.max_violations = 0;
+  opts.check_races = true;
+  const std::string serial = explore(cell, opts).to_json().dump();
+
+  opts.shards = 2;
+  opts.worker_stop_after = {1, 0};
+  opts.telemetry_interval = std::chrono::milliseconds(25);
+  opts.heartbeat_stale_after = std::chrono::milliseconds(500);
+  std::vector<WorkerHealth> health;
+  opts.health = &health;
+  const MetricsSnapshot before = metrics_registry().snapshot();
+  const std::string sharded = explore(cell, opts).to_json().dump();
+  const MetricsSnapshot delta =
+      metrics_registry().snapshot().delta_since(before);
+  EXPECT_EQ(sharded, serial);
+  ASSERT_EQ(health.size(), 2u);
+  EXPECT_TRUE(health[0].written_off);
+  EXPECT_EQ(health[0].write_off_reason, "heartbeat stale");
+  EXPECT_FALSE(health[1].written_off);
+  EXPECT_GE(delta.counters.count("shard.cells_requeued")
+                ? delta.counters.at("shard.cells_requeued")
+                : 0u,
+            1u);
+  // Health counts schedules, a whole range per reply.
+  EXPECT_EQ(health[0].cells_served % 10, 0);
+  EXPECT_EQ(health[1].cells_served % 10, 0);
 }
 
 // ------------------------------------------------------- trace merging

@@ -13,7 +13,12 @@
 //     coordinator-side run_cell record byte-for-byte (timing excluded).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "src/common/errors.h"
+#include "src/common/json.h"
 #include "src/dist/shard.h"
 #include "src/dist/wire.h"
 #include "src/experiment/experiment.h"
@@ -185,6 +190,153 @@ TEST(WireFraming, GarbageLinesThrowWireError) {
   EXPECT_THROW(parse_wire_line("{\"type\":\"result\",\"id\":1}"), WireError);
 }
 
+// `line` with the member at `path` (nested object keys) set to `value`.
+Json with_member(const Json& j, const std::vector<std::string>& path,
+                 std::size_t at, const Json& value) {
+  Json copy = j;
+  copy.set(path[at], at + 1 == path.size()
+                         ? value
+                         : with_member(j.at(path[at]), path, at + 1, value));
+  return copy;
+}
+std::string with_field(const std::string& line,
+                       const std::vector<std::string>& path,
+                       const Json& value) {
+  return with_member(Json::parse(line), path, 0, value).dump();
+}
+
+// A seeded-random schedule range [first, first + count) over a cell
+// whose every run is ok: only schedule 0's record is kept.
+ScheduleRange sample_range(int first, int count) {
+  Experiment e = Experiment::named("trivial_kset", ModelSpec{3, 1, 1});
+  e.direct().inputs({Value(0), Value(1), Value(2)}).seed(4);
+  ExperimentCell cell = e.cells().at(0);
+  cell.cell_index = first;
+  cell.schedule.kind = SchedulePolicyKind::kSeededRandom;
+  cell.schedule.seed = 100 + static_cast<std::uint64_t>(first);
+  cell.record_schedule = true;
+  return ScheduleRange{CellSpec::from_cell(cell), count};
+}
+
+// Integer fields are read through the checked narrowing: 2^32 + k used
+// to parse as k (a cell_index of 2^32 became cell 0).
+TEST(WireFraming, OversizedIntFieldsAreRejectedNotTruncated) {
+  const Json big(std::int64_t{1} << 32);
+  const Json big3((std::int64_t{1} << 32) + 3);
+  const std::string cell = cell_line(0, CellSpec::from_cell(sample_cell()));
+  for (const std::vector<std::string>& path :
+       std::vector<std::vector<std::string>>{{"spec", "cell_index"},
+                                             {"spec", "hop_index"},
+                                             {"spec", "source", "n"},
+                                             {"spec", "source", "t"},
+                                             {"spec", "target", "x"}}) {
+    EXPECT_THROW(parse_wire_line(with_field(cell, path, big)), WireError)
+        << path.back();
+    EXPECT_THROW(parse_wire_line(with_field(cell, path, big3)), WireError)
+        << path.back();
+  }
+  EXPECT_THROW(parse_wire_line(with_field(hello_line(), {"protocol"}, big3)),
+               WireError);
+  // The nested parsers a cell spec reaches: schedule and crash plan.
+  CellSpec explored = CellSpec::from_cell(sample_cell());
+  explored.schedule.kind = SchedulePolicyKind::kPct;
+  explored.crashes = CrashPlan::explored(1, 0.5);
+  const std::string nested = cell_line(0, explored);
+  EXPECT_THROW(parse_wire_line(with_field(
+                   nested, {"spec", "schedule", "pct_depth"}, big3)),
+               WireError);
+  EXPECT_THROW(parse_wire_line(with_field(
+                   nested, {"spec", "crashes", "max_crashes"}, big3)),
+               WireError);
+
+  const std::string result = result_line(0, run_cell(sample_cell()));
+  for (const std::vector<std::string>& path :
+       std::vector<std::vector<std::string>>{{"record", "cell_index"},
+                                             {"record", "hop_index"},
+                                             {"record", "source", "n"},
+                                             {"record", "target", "t"},
+                                             {"record", "source", "x"}}) {
+    const std::string bad = with_field(result, path, big3);
+    EXPECT_THROW(parse_wire_line(bad), WireError) << path.back();
+    // Off the wire, RunRecord::from_json throws its own parser error.
+    EXPECT_THROW(RunRecord::from_json(Json::parse(bad).at("record")),
+                 JsonError)
+        << path.back();
+  }
+
+  const ScheduleRange range = sample_range(0, 2);
+  const std::string chunk = chunk_line(range.base, range.count);
+  EXPECT_THROW(parse_wire_line(with_field(chunk, {"count"}, big3)),
+               WireError);
+  EXPECT_THROW(parse_wire_line(with_field(chunk, {"id"}, big)), WireError);
+  const std::string reply = chunk_result_line(0, RangeOutcome{{5, 6}, {}});
+  EXPECT_THROW(parse_wire_line(with_field(reply, {"id"}, big)), WireError);
+}
+
+TEST(WireFraming, ChunkLinesRoundTrip) {
+  const ScheduleRange range = sample_range(7, 3);
+  const WireMessage chunk = parse_wire_line(chunk_line(range.base, 3));
+  ASSERT_EQ(chunk.type, WireMessage::Type::kChunk);
+  EXPECT_EQ(chunk.id, 7);
+  ASSERT_TRUE(chunk.range.has_value());
+  EXPECT_EQ(chunk.range->count, 3);
+  EXPECT_EQ(chunk.range->base.to_json().dump(), range.base.to_json().dump());
+
+  RangeOutcome out;
+  out.steps = {11, 12, 13};
+  out.records.push_back(run_cell(range.base.to_cell()));  // schedule 7
+  const std::string line = chunk_result_line(7, out);
+  EXPECT_EQ(line.find('\n'), std::string::npos);  // framing-safe
+  const WireMessage reply = parse_wire_line(line);
+  ASSERT_EQ(reply.type, WireMessage::Type::kChunkResult);
+  EXPECT_EQ(reply.id, 7);
+  ASSERT_TRUE(reply.outcome.has_value());
+  EXPECT_EQ(reply.outcome->steps, out.steps);
+  ASSERT_EQ(reply.outcome->records.size(), 1u);
+  EXPECT_EQ(reply.outcome->records[0].to_json().dump(),
+            out.records[0].to_json().dump());
+}
+
+TEST(WireFraming, MalformedChunkLinesThrowWireError) {
+  const ScheduleRange range = sample_range(4, 3);
+  const std::string chunk = chunk_line(range.base, range.count);
+  EXPECT_THROW(parse_wire_line(with_field(chunk, {"count"}, Json(0))),
+               WireError);
+  EXPECT_THROW(parse_wire_line(with_field(chunk, {"count"}, Json(-2))),
+               WireError);
+  EXPECT_THROW(parse_wire_line("{\"type\":\"chunk\",\"id\":4,\"spec\":" +
+                               range.base.to_json().dump() + "}"),
+               WireError);  // no count
+  // The id names the first schedule: it must be the spec's cell_index.
+  EXPECT_THROW(parse_wire_line(with_field(chunk, {"id"}, Json(5))),
+               WireError);
+
+  // Replies: steps for at least one schedule, none negative; records
+  // only inside [id, id + steps), ascending, one per schedule.
+  RunRecord rec = run_cell(range.base.to_cell());
+  auto reply = [&](std::vector<int> record_indices, int schedules) {
+    RangeOutcome out;
+    out.steps.assign(static_cast<std::size_t>(schedules), 9);
+    for (int i : record_indices) {
+      rec.cell_index = i;
+      out.records.push_back(rec);
+    }
+    return chunk_result_line(4, out);
+  };
+  EXPECT_NO_THROW(parse_wire_line(reply({4, 6}, 3)));
+  EXPECT_THROW(parse_wire_line(reply({}, 0)), WireError);
+  EXPECT_THROW(parse_wire_line(reply({7}, 3)), WireError);
+  EXPECT_THROW(parse_wire_line(reply({3}, 3)), WireError);
+  EXPECT_THROW(parse_wire_line(reply({5, 5}, 3)), WireError);
+  EXPECT_THROW(parse_wire_line(reply({6, 5}, 3)), WireError);
+  EXPECT_THROW(parse_wire_line(with_field(reply({}, 2), {"steps"},
+                                          Json::array().push(Json(-1)))),
+               WireError);
+  EXPECT_THROW(parse_wire_line("{\"type\":\"chunk_result\",\"id\":4,"
+                               "\"records\":[]}"),
+               WireError);  // no steps
+}
+
 TEST(CellSpecWire, RejectsNonSerializableCells) {
   // Anonymous algorithm: no registry name to rebuild from.
   Experiment anon = Experiment::of(trivial_kset_algorithm(3, 1));
@@ -261,6 +413,89 @@ TEST(WorkerLoop, MaxCellsInjectsACrashBeforeReplying) {
   ASSERT_EQ(io.written().size(), 1u);
   EXPECT_EQ(parse_wire_line(io.written()[0]).type,
             WireMessage::Type::kHello);
+}
+
+TEST(WorkerLoop, ServesChunksAndSurvivesMalformedOnes) {
+  const ScheduleRange range = sample_range(0, 3);
+  const std::string chunk = chunk_line(range.base, range.count);
+  StringLineIO io({
+      with_field(chunk, {"count"}, Json(0)),
+      with_field(chunk, {"count"}, Json(-1)),
+      "{\"type\":\"chunk\",\"id\":0,\"spec\":" +
+          range.base.to_json().dump() + "}",
+      chunk,
+      shutdown_line(),
+  });
+  run_worker_loop(io);
+
+  // hello, three error lines, then the chunk is still served.
+  ASSERT_EQ(io.written().size(), 5u);
+  for (std::size_t i = 1; i <= 3; ++i) {
+    EXPECT_EQ(parse_wire_line(io.written()[i]).type,
+              WireMessage::Type::kError)
+        << i;
+  }
+  const WireMessage reply = parse_wire_line(io.written()[4]);
+  ASSERT_EQ(reply.type, WireMessage::Type::kChunkResult);
+  EXPECT_EQ(reply.id, 0);
+  ASSERT_TRUE(reply.outcome.has_value());
+
+  // The same range run here: identical steps and kept records. Every run
+  // of this cell is ok, so only schedule 0's record travels.
+  std::unique_ptr<RunScratch> scratch;
+  const RangeOutcome local = run_schedule_range(range, scratch);
+  EXPECT_EQ(reply.outcome->steps, local.steps);
+  ASSERT_EQ(local.steps.size(), 3u);
+  ASSERT_EQ(reply.outcome->records.size(), 1u);
+  ASSERT_EQ(local.records.size(), 1u);
+  EXPECT_EQ(reply.outcome->records[0].cell_index, 0);
+  EXPECT_EQ(reply.outcome->records[0].to_json(false).dump(),
+            local.records[0].to_json(false).dump());
+  // Schedule j is the base spec with schedule.seed + j and cell_index + j.
+  for (int j = 0; j < 3; ++j) {
+    CellSpec spec = range.base;
+    spec.cell_index = j;
+    spec.schedule.seed += static_cast<std::uint64_t>(j);
+    EXPECT_EQ(run_cell(spec.to_cell()).steps, local.steps[j]) << j;
+  }
+}
+
+// A worker that answers a chunk it was never sent, answers with the
+// wrong number of schedules, or answers a chunk with a cell result is a
+// protocol violator: written off, its chunk served in-process instead.
+TEST(WorkerLoop, CoordinatorWritesOffWrongChunkAnswers) {
+  const ScheduleRange range = sample_range(0, 3);
+  std::unique_ptr<RunScratch> scratch;
+  const RangeOutcome local = run_schedule_range(range, scratch);
+  const std::string wrong_answers[] = {
+      chunk_result_line(999, RangeOutcome{{1, 1, 1}, {}}),
+      chunk_result_line(0, RangeOutcome{{1}, {}}),
+      result_line(0, local.records.at(0)),
+  };
+  for (const std::string& answer : wrong_answers) {
+    ShardOptions options;
+    options.shards = 1;
+    options.max_respawns = 0;
+    // A scripted worker: greets, reads the chunk, sends `answer` ($0),
+    // then waits for EOF.
+    options.worker_argv = {
+        "/bin/sh", "-c",
+        "echo '" + hello_line() + "'; read -r l; echo \"$0\"; read -r l",
+        answer};
+    std::vector<WorkerHealth> health;
+    options.health = &health;
+    const std::vector<RangeOutcome> outcomes =
+        run_sharded_ranges({range}, options);
+    ASSERT_EQ(health.size(), 1u);
+    EXPECT_TRUE(health[0].written_off) << answer;
+    EXPECT_EQ(health[0].write_off_reason, "protocol violation") << answer;
+    EXPECT_EQ(health[0].cells_served, 0) << answer;
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_EQ(outcomes[0].steps, local.steps) << answer;
+    ASSERT_EQ(outcomes[0].records.size(), 1u);
+    EXPECT_EQ(outcomes[0].records[0].to_json(false).dump(),
+              local.records[0].to_json(false).dump());
+  }
 }
 
 // ------------------------------------------------------------ telemetry
