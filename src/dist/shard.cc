@@ -3,6 +3,9 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
+#if defined(__linux__)
+#include <sys/syscall.h>
+#endif
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -386,24 +389,46 @@ void close_fd(int& fd) {
   }
 }
 
-// Reap `pid`: give it `grace` to exit on its own, then SIGKILL. The
-// poll backs off from 20 us, doubling to 2 ms: a worker whose fd was
-// just closed exits within microseconds, and a fixed 2 ms nap per worker
-// was most of a small pool's shutdown cost.
-void reap(pid_t pid, std::chrono::milliseconds grace) {
-  if (pid <= 0) return;
+// Wait up to `grace` for `pid` to exit; true once it has. Linux waits
+// on a pidfd, which wakes the moment the child exits; elsewhere (or on a
+// kernel without pidfd_open) a WNOHANG poll backs off from 20 us,
+// doubling to 2 ms. A timed poll quantizes the wait: a worker whose exit
+// lands just past one nap costs the next, a jump of up to 2x on small
+// pools' shutdown.
+bool await_exit(pid_t pid, std::chrono::milliseconds grace) {
   const auto deadline = std::chrono::steady_clock::now() + grace;
+#if defined(__linux__) && defined(SYS_pidfd_open)
+  const int pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+  if (pidfd >= 0) {
+    int r = 0;
+    for (;;) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      pollfd p{pidfd, POLLIN, 0};
+      r = ::poll(&p, 1, static_cast<int>(std::max<std::int64_t>(
+                            left.count() + 1, 0)));
+      if (r >= 0 || errno != EINTR) break;
+    }
+    ::close(pidfd);
+    return r > 0;
+  }
+#endif
   std::chrono::microseconds nap{20};
   int status = 0;
   for (;;) {
-    const pid_t r = ::waitpid(pid, &status, WNOHANG);
-    if (r != 0) return;  // reaped (or ECHILD)
-    if (std::chrono::steady_clock::now() >= deadline) break;
+    if (::waitpid(pid, &status, WNOHANG) != 0) return true;
+    if (std::chrono::steady_clock::now() >= deadline) return false;
     std::this_thread::sleep_for(nap);
     nap = std::min(nap * 2, std::chrono::microseconds(2000));
   }
-  ::kill(pid, SIGKILL);
-  ::waitpid(pid, &status, 0);
+}
+
+// Reap `pid`: give it `grace` to exit on its own, then SIGKILL.
+void reap(pid_t pid, std::chrono::milliseconds grace) {
+  if (pid <= 0) return;
+  if (!await_exit(pid, grace)) ::kill(pid, SIGKILL);
+  int status = 0;
+  ::waitpid(pid, &status, 0);  // no-op (ECHILD) if await_exit reaped it
 }
 
 // `sibling_fds`: coordinator ends of previously spawned workers, closed

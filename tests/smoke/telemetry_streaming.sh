@@ -9,7 +9,8 @@
 # every worker; every worker must heartbeat at least once; and a worker
 # SIGSTOPped between jobs must be written off by heartbeat age with its
 # work requeued — report bytes still identical. At budget 12 on 3 shards
-# each shipped schedule range holds one schedule.
+# each shipped schedule range holds one schedule; the SIGSTOP leg runs
+# budget 120 (see there).
 #
 # Usage: telemetry_streaming.sh /path/to/mpcn   (registered with ctest)
 set -euo pipefail
@@ -56,13 +57,21 @@ PY
 
 # SIGSTOP fault: slot 0 freezes BETWEEN jobs after replying to its first
 # one — nothing outstanding, so only heartbeat age (not the per-job
-# watchdog) can notice the silence.
+# watchdog) can notice the silence. The leg needs the coordinator to
+# hand the frozen worker a second job, which it does only if work is
+# still queued when the first reply lands. At budget 12 (one-schedule
+# ranges) a slow-starting slot 0 could reply after slots 1 and 2 had
+# drained the queue, and the run then ended with slot 0 never written
+# off; budget 120 (ten-schedule ranges, still 12 of them) keeps the
+# queue non-empty for that reply.
+"$mpcn" explore snapshot_churn --in 3,0,1 --inputs 10,11,12 \
+    --budget 120 --seed 1 --shards 3 --json str_plain120.json
 MPCN_WORKER_STOP_AFTER=1,0,0 "$mpcn" explore snapshot_churn \
-    --in 3,0,1 --inputs 10,11,12 --budget 12 --seed 1 \
+    --in 3,0,1 --inputs 10,11,12 --budget 120 --seed 1 \
     --shards 3 --json str_stop.json --telemetry-ms 25 \
     --stale-ms 500 --events str_stop_events.jsonl \
     --health str_stop_health.json
-cmp str_plain.json str_stop.json
+cmp str_plain120.json str_stop.json
 python3 - <<'PY'
 import json
 health = json.load(open("str_stop_health.json"))
