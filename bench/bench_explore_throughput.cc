@@ -33,6 +33,14 @@
 // the gate takes the MEDIAN of the paired differences, cancelling the
 // common-mode drift between reps. Wall is still reported for context.
 //
+// Part 4: shrink cost — a racy_register 3,0,1 PCT race search collects
+// every violation with shrinking off, then shrink() minimizes each one
+// on a pooled cell, exactly as explore() would. The row reports the
+// candidates judged (`shrink_replays`, what the report states and the
+// budget bounds), the candidates actually replayed (`shrink_runs`: a
+// ddmin candidate equal to the one just judged is not rerun), and the
+// wall time per violation.
+//
 // `--budget N` scales all parts (default 300; CI smoke uses a handful).
 // `--json[=path]` writes the machine-readable rows (default
 // BENCH_explore_throughput.json).
@@ -47,6 +55,7 @@
 #include "bench/bench_util.h"
 #include "src/experiment/experiment.h"
 #include "src/explore/explorer.h"
+#include "src/runtime/process_pool.h"
 
 using namespace mpcn;
 using namespace mpcn::benchutil;
@@ -345,6 +354,56 @@ int main(int argc, char** argv) {
       .set("telemetry_overhead_x", telemetry_overhead)
       .set("beat_cost_us", beat_cost_us);
   rows.push(std::move(telemetry_row));
+
+  // ---- Part 4: shrink cost ------------------------------------------
+  {
+    ExperimentCell racy = exhibit_cell(3);
+    ExploreOptions opts;
+    opts.policy = ExplorePolicy::kPct;
+    opts.seed = 1;
+    opts.budget = budget;
+    opts.max_violations = 0;
+    opts.check_races = true;
+    opts.shrink_violations = false;
+    const ExploreResult search = explore(racy, opts);
+    ProcessPool pool(3);
+    racy.options.process_pool = &pool;
+    std::int64_t replays = 0, runs = 0;
+    const auto start = std::chrono::steady_clock::now();
+    for (const ExploreViolation& v : search.violations) {
+      ShrinkOptions so;
+      so.check_races = true;
+      so.require_race = v.race;
+      so.require_crash = v.crashed;
+      const ShrinkResult sr = shrink(racy, v.trace, so);
+      replays += sr.replays;
+      runs += sr.runs;
+      if (!sr.verified || sr.runs > sr.replays) all_ok = false;
+    }
+    const double wall = ms_since(start);
+    const std::size_t found = search.violations.size();
+    const double per_violation = found > 0 ? wall / found : 0.0;
+    std::printf("\n== Shrink cost: racy_register 3,0,1 pct races, budget "
+                "%d\n",
+                budget);
+    std::printf("%zu violations, %lld candidates judged, %lld replayed, "
+                "%.2f ms/violation\n",
+                found, static_cast<long long>(replays),
+                static_cast<long long>(runs), per_violation);
+    if (found == 0 && budget >= 100) {
+      std::fprintf(stderr, "shrink row found no violation to shrink\n");
+      all_ok = false;
+    }
+    Json shrink_row = Json::object();
+    shrink_row.set("name", "shrink")
+        .set("schedules", search.schedules)
+        .set("violations", static_cast<std::int64_t>(found))
+        .set("shrink_replays", replays)
+        .set("shrink_runs", runs)
+        .set("shrink_wall_ms", wall)
+        .set("ms_per_violation", per_violation);
+    rows.push(std::move(shrink_row));
+  }
 
   const std::string path =
       json_out_path(argc, argv, "explore_throughput");

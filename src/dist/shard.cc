@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -558,10 +559,11 @@ void require_shards(const ShardOptions& options) {
 }
 
 // The coordinator loop, one for both job kinds: dispatch, requeue,
-// respawn, the watchdog, stale write-off, health, harvest and the
-// in-process fallback. `jobs` is non-empty.
+// respawn, the watchdog, stale write-off, health, harvest, the early
+// stop of ranges and the in-process fallback. `jobs` is non-empty;
+// `stop_after` is run_sharded_ranges' (0 for grids).
 PoolResult run_pool(const std::vector<PoolJob>& jobs,
-                    const ShardOptions& options) {
+                    const ShardOptions& options, int stop_after) {
   const int shard_count =
       std::min<int>(options.shards, static_cast<int>(jobs.size()));
   std::vector<WorkerProc> workers;
@@ -602,6 +604,46 @@ PoolResult run_pool(const std::vector<PoolJob>& jobs,
     total_schedules += static_cast<std::size_t>(schedules_of(i));
   }
   std::size_t done_schedules = 0;
+
+  // Early stop (ranges, stop_after > 0): `cutoff` is the stop_after-th
+  // smallest violated index among the outcomes received so far. It only
+  // decreases, and never drops below the caller's stop index (the same
+  // rank over ALL outcomes), so a job starting past it is never
+  // dispatched: it counts as done, with an empty outcome. Jobs in flight
+  // are still harvested.
+  std::vector<int> violated;  // sorted ascending
+  int cutoff = std::numeric_limits<int>::max();
+  const auto past_cutoff = [&](std::size_t id) {
+    return jobs[id].spec->cell_index > cutoff;
+  };
+  const auto skip = [&](std::size_t id) {
+    seen[id] = true;
+    ++done;
+    total_schedules -= static_cast<std::size_t>(schedules_of(id));
+  };
+  // Fold a received range outcome into the cutoff; drop the pending jobs
+  // it rules out.
+  const auto note_outcome = [&](const RangeOutcome& outcome) {
+    if (stop_after <= 0) return;
+    for (const RunRecord& rec : outcome.records) {
+      if (rec.ok() && !rec.raced()) continue;  // schedule 0, kept anyway
+      violated.insert(
+          std::upper_bound(violated.begin(), violated.end(), rec.cell_index),
+          rec.cell_index);
+    }
+    if (static_cast<int>(violated.size()) < stop_after) return;
+    cutoff = violated[static_cast<std::size_t>(stop_after - 1)];
+    std::deque<std::size_t> kept;
+    for (std::size_t id : pending) {
+      if (past_cutoff(id)) {
+        skip(id);
+      } else {
+        kept.push_back(id);
+      }
+    }
+    pending.swap(kept);
+    m_queue_depth().set(static_cast<std::int64_t>(pending.size()));
+  };
   // Dispatch and requeue events name a job by its first cell_index.
   const auto job_event = [&](std::size_t id, std::size_t slot) {
     return Json::object()
@@ -712,7 +754,9 @@ PoolResult run_pool(const std::vector<PoolJob>& jobs,
     }
     if (w.busy) {
       w.busy = false;
-      if (!seen[w.outstanding]) {
+      if (!seen[w.outstanding] && past_cutoff(w.outstanding)) {
+        skip(w.outstanding);  // the stop moved before it while in flight
+      } else if (!seen[w.outstanding]) {
         pending.push_front(w.outstanding);
         m_cells_requeued().add();
         m_queue_depth().set(static_cast<std::int64_t>(pending.size()));
@@ -826,7 +870,10 @@ PoolResult run_pool(const std::vector<PoolJob>& jobs,
         }
         if (msg.record) out.records.push_back(std::move(*msg.record));
         if (!seen[id]) {
-          if (msg.outcome) out.ranges[id] = std::move(*msg.outcome);
+          if (msg.outcome) {
+            note_outcome(*msg.outcome);
+            out.ranges[id] = std::move(*msg.outcome);
+          }
           seen[id] = true;
           ++done;
           done_schedules += static_cast<std::size_t>(schedules_of(id));
@@ -1229,12 +1276,17 @@ PoolResult run_pool(const std::vector<PoolJob>& jobs,
     std::unique_ptr<RunScratch> scratch;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       if (seen[i]) continue;
+      if (past_cutoff(i)) {
+        skip(i);
+        continue;
+      }
       const PoolJob& job = jobs[i];
       if (job.count == 0) {
         out.records.push_back(run_spec(*job.spec));
       } else {
         out.ranges[i] =
             run_schedule_range(ScheduleRange{*job.spec, job.count}, scratch);
+        note_outcome(out.ranges[i]);
       }
       seen[i] = true;
       ++done;
@@ -1273,7 +1325,7 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
     std::vector<PoolJob> jobs;
     jobs.reserve(specs.size());
     for (const CellSpec& spec : specs) jobs.push_back(PoolJob{&spec, 0});
-    arrivals.records = run_pool(jobs, options).records;
+    arrivals.records = run_pool(jobs, options, 0).records;
   }
   Report merged = Report::merge({arrivals});
   merged.title = derive_report_title(cells, options.title);
@@ -1287,7 +1339,8 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
 }
 
 std::vector<RangeOutcome> run_sharded_ranges(
-    const std::vector<ScheduleRange>& ranges, const ShardOptions& options) {
+    const std::vector<ScheduleRange>& ranges, const ShardOptions& options,
+    int stop_after) {
   require_shards(options);
   std::vector<PoolJob> jobs;
   jobs.reserve(ranges.size());
@@ -1298,7 +1351,7 @@ std::vector<RangeOutcome> run_sharded_ranges(
     jobs.push_back(PoolJob{&r.base, r.count});
   }
   if (jobs.empty()) return {};
-  return run_pool(jobs, options).ranges;
+  return run_pool(jobs, options, stop_after).ranges;
 }
 
 }  // namespace mpcn

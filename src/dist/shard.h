@@ -209,7 +209,15 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
 // subprocesses as chunk messages; returns one outcome per range, in
 // range order. Same pool, fault handling and fallback as run_sharded.
 // Throws ProtocolError for a range with count < 1.
+//
+// `stop_after` > 0 is explore's early stop: the caller reads outcomes
+// in index order and stops at the stop_after-th violation (a kept
+// record with !ok() || raced()). A range whose first schedule lies past
+// the stop_after-th smallest violated index received so far is never
+// dispatched and comes back with an empty outcome; ranges in flight are
+// still harvested. 0 runs every range.
 std::vector<RangeOutcome> run_sharded_ranges(
-    const std::vector<ScheduleRange>& ranges, const ShardOptions& options);
+    const std::vector<ScheduleRange>& ranges, const ShardOptions& options,
+    int stop_after = 0);
 
 }  // namespace mpcn

@@ -63,6 +63,10 @@ Counter& m_shrink_replays() {
   static Counter& c = metrics_registry().counter("explore.shrink_replays");
   return c;
 }
+Counter& m_shrink_runs() {
+  static Counter& c = metrics_registry().counter("explore.shrink_runs");
+  return c;
+}
 Counter& m_early_stops() {
   static Counter& c = metrics_registry().counter("explore.early_stops");
   return c;
@@ -247,10 +251,17 @@ ShrinkResult shrink(const ExperimentCell& cell, const ScheduleTrace& failing,
   const bool want_history =
       options.spec && cell.mode == ExecutionMode::kDirect;
 
-  auto fails = [&](const std::vector<TraceEntry>& entries,
-                   bool force) -> bool {
+  // Every judged candidate spends one replay of the budget, whether it
+  // runs or not; false once the budget is spent (unless forced).
+  auto spend = [&](bool force) -> bool {
     if (!force && result.replays >= options.max_replays) return false;
     ++result.replays;
+    return true;
+  };
+  auto fails = [&](const std::vector<TraceEntry>& entries,
+                   bool force) -> bool {
+    if (!spend(force)) return false;
+    ++result.runs;
     ExperimentCell candidate = cell;
     candidate.policy_override = nullptr;
     ScheduleSpec s;
@@ -291,11 +302,23 @@ ShrinkResult shrink(const ExperimentCell& cell, const ScheduleTrace& failing,
     const std::size_t chunk = (current.size() + n - 1) / n;
     bool reduced = false;
     for (std::size_t start = 0; start < current.size(); start += chunk) {
+      const std::size_t stop = std::min(start + chunk, current.size());
+      // A full chunk equal, entry for entry, to the chunk before it
+      // leaves the same sequence as the previous candidate, which was
+      // just judged not failing (the loop breaks on the first that
+      // fails). Lock-step traces are full of runs of one thread's grants,
+      // so this is common: count the candidate, do not rerun it.
+      if (start > 0 && stop - start == chunk &&
+          std::equal(current.begin() + static_cast<long>(start - chunk),
+                     current.begin() + static_cast<long>(start),
+                     current.begin() + static_cast<long>(start))) {
+        spend(/*force=*/false);
+        continue;
+      }
       std::vector<TraceEntry> candidate;
       candidate.reserve(current.size());
       candidate.insert(candidate.end(), current.begin(),
                        current.begin() + static_cast<long>(start));
-      const std::size_t stop = std::min(start + chunk, current.size());
       candidate.insert(candidate.end(),
                        current.begin() + static_cast<long>(stop),
                        current.end());
@@ -486,6 +509,7 @@ ExploreResult explore(const ExperimentCell& cell,
       v.shrunk_verified = sr.verified;
       v.shrink_replays = sr.replays;
       m_shrink_replays().add(static_cast<std::uint64_t>(sr.replays));
+      m_shrink_runs().add(static_cast<std::uint64_t>(sr.runs));
       log_event("shrink_end",
                 Json::object()
                     .set("schedule", static_cast<std::int64_t>(index))
@@ -528,6 +552,12 @@ ExploreResult explore(const ExperimentCell& cell,
     }
   }
   result.pct_horizon = horizon;
+  // Violations left to find before the stop (the probe may hold one); 0
+  // collects all.
+  const int quota =
+      options.max_violations > 0
+          ? options.max_violations - static_cast<int>(result.violations.size())
+          : 0;
 
   // ---- source 2: the shard pool -------------------------------------
   // The budget ships as schedule ranges, about four per worker so the
@@ -535,7 +565,9 @@ ExploreResult explore(const ExperimentCell& cell,
   // worker's share. Workers answer each range with every schedule's
   // steps and only the records accounting keeps (violations and
   // schedule 0); accounting walks them in index order and stops where
-  // the in-process search would have. The pool runs every range.
+  // the in-process search would have. With a max_violations stop, the
+  // pool skips the ranges that start past it (the claim loop's cutoff
+  // rule below), so they come back empty and are never reached.
   if (options.shards > 0) {
     const std::int64_t ranges_wanted =
         4 * static_cast<std::int64_t>(options.shards);
@@ -558,9 +590,14 @@ ExploreResult explore(const ExperimentCell& cell,
     // Fork the workers from a coordinator with no pool threads alive;
     // shrinking rebuilds the probe's scratch afterwards.
     scratch[0].reset();
-    std::vector<RangeOutcome> outcomes = run_sharded_ranges(ranges, shard);
+    std::vector<RangeOutcome> outcomes =
+        run_sharded_ranges(ranges, shard, quota);
     for (std::size_t k = 0; k < ranges.size(); ++k) {
       RangeOutcome& out = outcomes[k];
+      if (out.steps.size() != static_cast<std::size_t>(ranges[k].count)) {
+        throw ProtocolError("explore: the shard pool skipped range " +
+                            std::to_string(k) + " before the stop index");
+      }
       auto kept = out.records.begin();
       for (std::size_t j = 0; j < out.steps.size(); ++j) {
         const int index = ranges[k].base.cell_index + static_cast<int>(j);
@@ -597,11 +634,6 @@ ExploreResult explore(const ExperimentCell& cell,
     dfs = std::make_shared<BoundedDfsPolicy>(options.dfs_preemption_bound,
                                              options.dfs_max_depth);
   }
-  // Violations left to find before the stop (the probe may hold one).
-  const int quota =
-      options.max_violations > 0
-          ? options.max_violations - static_cast<int>(result.violations.size())
-          : 0;
   std::vector<Judged> slots(static_cast<std::size_t>(options.budget));
   std::atomic<int> next{0};
   std::atomic<int> cutoff{options.budget - 1};

@@ -98,7 +98,9 @@ struct ExploreOptions : PoolOptions {
   double crash_rate = 0.1;
 
   bool shrink_violations = true;
-  int shrink_budget = 400;  // max replays per violation
+  // Max judged candidates per violation (ShrinkOptions::max_replays). A
+  // candidate identical to the one just judged counts without a rerun.
+  int shrink_budget = 400;
 
   // Optional linearizability oracle over the run's recorded history
   // (direct-mode cells; in-process only). Histories longer than the
@@ -136,6 +138,7 @@ struct ExploreViolation {
   ScheduleTrace trace;      // the counterexample schedule
   ScheduleTrace shrunk;     // == trace when shrinking is off or failed
   bool shrunk_verified = false;  // the shrunk trace re-failed on replay
+  // Candidates the shrinker judged (ShrinkResult::replays), rerun or not.
   int shrink_replays = 0;
 };
 
@@ -188,6 +191,8 @@ RunRecord replay_trace(const ExperimentCell& cell,
                        const ScheduleTrace& trace);
 
 struct ShrinkOptions {
+  // Judged candidates allowed, rerun or not (the forced first and final
+  // replays are exempt).
   int max_replays = 400;
   // Same optional oracle as ExploreOptions::spec: candidates count as
   // failing if the record fails OR the recorded history violates the
@@ -207,16 +212,23 @@ struct ShrinkOptions {
 
 struct ShrinkResult {
   ScheduleTrace trace;   // locally-minimal failing trace
-  int replays = 0;       // replays spent (including final verification)
+  // Candidates judged, including the first reproduction and the final
+  // verification: what max_replays bounds and the report states.
+  int replays = 0;
+  // Candidates actually replayed (<= replays): a ddmin candidate equal to
+  // the one just judged is counted in `replays` but not run again.
+  // Sidecar only (explore.shrink_runs); no report carries it.
+  int runs = 0;
   bool verified = false; // final replay of `trace` still failed
 };
 
 // ddmin the failing trace to a locally-minimal counterexample. Crash
 // marks travel with their grants through the minimization, and a final
 // pass tries to clear each surviving mark individually — so the result
-// is minimal over grants AND crash points. If `failing` does not
-// reproduce the failure on the first replay, returns it unchanged with
-// verified = false.
+// is minimal over grants AND crash points. A ddmin candidate that equals
+// the one just judged is counted in `replays` without running again.
+// If `failing` does not reproduce the failure on the first replay,
+// returns it unchanged with verified = false.
 ShrinkResult shrink(const ExperimentCell& cell, const ScheduleTrace& failing,
                     const ShrinkOptions& options = {});
 

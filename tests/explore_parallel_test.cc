@@ -274,6 +274,33 @@ TEST(ParallelExplore, ShardRangesMatchSerialAtEveryChunkShape) {
   }
 }
 
+TEST(ParallelExplore, MaxViolationsStopReachesShardWorkers) {
+  // One shard serves the four 50-schedule ranges one at a time, so the
+  // pool learns of the stop (schedule 84, in the second range) before it
+  // would dispatch the third: exactly two ranges are served. Collect-all
+  // runs every range. The report is the serial one either way.
+  ExperimentCell cell = named_cell("racy_register", ModelSpec{2, 0, 1}, 1,
+                                   MemKind::kPrimitive);
+  ExploreOptions opts;
+  opts.policy = ExplorePolicy::kPct;
+  opts.seed = 1;
+  opts.budget = 200;
+  opts.check_races = true;
+  const std::map<int, std::int64_t> served = {{0, 200}, {1, 100}};
+  for (const auto& [max_violations, schedules_served] : served) {
+    opts.max_violations = max_violations;
+    opts.shards = 0;
+    const std::string serial = observable(explore(cell, opts));
+    std::vector<WorkerHealth> health;
+    opts.shards = 1;
+    opts.health = &health;
+    EXPECT_EQ(observable(explore(cell, opts)), serial) << max_violations;
+    opts.health = nullptr;
+    ASSERT_EQ(health.size(), 1u);
+    EXPECT_EQ(health[0].cells_served, schedules_served) << max_violations;
+  }
+}
+
 // ----------------------------------------------- pooled execution layer
 
 TEST(ProcessPool, PooledExecutionMatchesSpawnedByteForByte) {

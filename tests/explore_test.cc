@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 
 #include "src/dist/wire.h"
 #include "src/experiment/batch_runner.h"
@@ -328,6 +329,114 @@ TEST(Explore, RejectsUnshardableConfigurations) {
   threaded.shards = 2;
   threaded.threads = 4;
   EXPECT_THROW(explore(cell, threaded), ProtocolError);
+}
+
+// ------------------------------------------ shrinker: differential pins
+
+// FNV-1a 64 of a report dump, as 16 hex digits.
+std::string fnv64_hex(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  char out[17];
+  std::snprintf(out, sizeof(out), "%016llx",
+                static_cast<unsigned long long>(h));
+  return out;
+}
+
+ExploreOptions racy_pct(bool check_races) {
+  ExploreOptions opts;
+  opts.policy = ExplorePolicy::kPct;
+  opts.seed = 1;
+  opts.budget = 100;
+  opts.max_violations = 0;
+  opts.check_races = check_races;
+  return opts;
+}
+
+TEST(ShrinkDifferential, ReportBytesMatchTheShrinkerThatRanEveryCandidate) {
+  // Literal digests of to_json(true) taken from the shrinker before it
+  // learned to skip candidates identical to the one just judged. Every
+  // search collects all its violations, so each case shrinks several
+  // traces; shrunk traces, shrink_replays and the verified flags are all
+  // inside the digested bytes.
+  struct Pinned {
+    const char* name;
+    ExperimentCell cell;
+    ExploreOptions opts;
+    const char* digest;
+  };
+  const ExperimentCell racy2 =
+      named_cell("racy_register", ModelSpec{2, 0, 1}, 1);
+  const ExperimentCell racy3 =
+      named_cell("racy_register", ModelSpec{3, 0, 1}, 1);
+  std::vector<Pinned> cases = {
+      {"racy {2,0,1}", racy2, racy_pct(false), "7e139e2f6ac473d9"},
+      {"racy {2,0,1} races", racy2, racy_pct(true), "78b96c9fd1a26e8a"},
+      {"racy {3,0,1}", racy3, racy_pct(false), "928756fa6773d067"},
+      {"racy {3,0,1} races", racy3, racy_pct(true), "65ddbe5294749e3e"},
+  };
+
+  // The (schedule x crash) product: crash marks travel through ddmin.
+  Experiment window = Experiment::named("safe_agreement_window",
+                                        ModelSpec{2, 1, 1});
+  window.direct().seed(7).step_limit(400).inputs_fn(index_inputs);
+  ExploreOptions product;
+  product.policy = ExplorePolicy::kSeededRandom;
+  product.seed = 7;
+  product.budget = 200;
+  product.max_violations = 0;
+  product.crash_budget = 1;
+  product.crash_rate = 0.2;
+  cases.push_back({"crash product", window.cells().front(), product,
+                   "0bd67f2412e2de2b"});
+
+  // A shrink budget that binds: the skipped candidates still spend it.
+  ExploreOptions tight = racy_pct(true);
+  tight.shrink_budget = 9;
+  cases.push_back(
+      {"racy {3,0,1} shrink-budget 9", racy3, tight, "dad50aa1dfb22d48"});
+
+  for (const Pinned& p : cases) {
+    const ExploreResult result = explore(p.cell, p.opts);
+    EXPECT_TRUE(result.found()) << p.name;
+    EXPECT_EQ(fnv64_hex(result.to_json(true).dump()), p.digest) << p.name;
+    if (p.opts.shrink_budget == 9) {
+      const bool binds = std::any_of(
+          result.violations.begin(), result.violations.end(),
+          [](const ExploreViolation& v) { return v.shrink_replays > 9; });
+      EXPECT_TRUE(binds) << "the budget must cut at least one shrink short";
+    }
+  }
+}
+
+TEST(ShrinkDifferential, RepeatedGrantsAreJudgedWithoutRerunning) {
+  // A lock-step trace of racy_register {3,0,1} is full of runs of one
+  // thread's grants; deleting any grant of such a run yields the same
+  // candidate, which the shrinker counts but does not replay again.
+  const ExperimentCell cell =
+      named_cell("racy_register", ModelSpec{3, 0, 1}, 1);
+  ExploreOptions opts = racy_pct(true);
+  opts.shrink_violations = false;
+  const ExploreResult found = explore(cell, opts);
+  ASSERT_TRUE(found.found());
+  const ScheduleTrace& trace = found.violations.front().trace;
+  ASSERT_NE(std::adjacent_find(trace.grants.begin(), trace.grants.end()),
+            trace.grants.end())
+      << "the case needs a trace with repeated grants";
+
+  ShrinkOptions so;
+  so.check_races = true;
+  so.require_race = found.violations.front().race;
+  const ShrinkResult sr = shrink(cell, trace, so);
+  EXPECT_TRUE(sr.verified);
+  // Pinned from the shrinker that ran every candidate.
+  EXPECT_EQ(sr.replays, 44);
+  EXPECT_EQ(sr.trace.digest(), "05940f0af7ff7c81");
+  EXPECT_LT(sr.runs, sr.replays);
+  EXPECT_GE(sr.runs, 2);  // the reproduction and the verification
 }
 
 // --------------------------------------------------- wire integration

@@ -64,7 +64,8 @@ def validate_report(errors, path, doc):
 
 
 def validate_explore_throughput(errors, path, doc):
-    """BENCH_explore_throughput.json: schedules/sec + replay-overhead rows."""
+    """BENCH_explore_throughput.json: schedules/sec, replay, telemetry and
+    shrink rows."""
     require_keys(errors, path, doc, ("title", "budget", "rows"))
     rows = doc.get("rows")
     if not isinstance(rows, list) or not rows:
@@ -78,6 +79,13 @@ def validate_explore_throughput(errors, path, doc):
                          ("name", "plain_cpu_ms", "telemetry_cpu_ms",
                           "plain_wall_ms", "telemetry_wall_ms",
                           "telemetry_overhead_x", "beat_cost_us", "reps"),
+                         where=f"rows[{i}]")
+        elif "shrink_runs" in row:
+            # shrink-cost row (candidates judged vs replayed)
+            require_keys(errors, path, row,
+                         ("name", "schedules", "violations",
+                          "shrink_replays", "shrink_runs", "shrink_wall_ms",
+                          "ms_per_violation"),
                          where=f"rows[{i}]")
         elif "replay_overhead_x" in row:
             # replay-overhead comparison row
